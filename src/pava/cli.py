@@ -27,7 +27,8 @@ from .dataset import (
 )
 from .engine import ClusterModel, PavaConfig, run
 from .metrics import adjusted_rand_index, pairwise_f_score, rand_index
-from .neighbors import default_k, k_distance_all
+# perfbench's tracer wraps default_k and k_distance_all as attributes of pava.cli.
+from .neighbors import default_k, k_distance_all, query_workers  # noqa: F401
 
 REPORT_SCHEMA = 1
 
@@ -155,16 +156,27 @@ def _default_out(input_path: Path, suffix: str) -> Path:
     return input_path.with_name(stem + suffix)
 
 
-def _metrics_block(labels_true_path, labels: np.ndarray):
-    truth = load_labels_csv(_require_file(labels_true_path))
-    if truth.n != labels.size:
-        raise UsageError(
-            f"label count mismatch: {labels_true_path} has {truth.n} rows, expected {labels.size}")
+def _scores(truth: np.ndarray, pred: np.ndarray) -> dict:
+    """Rand index, adjusted Rand index and pairwise F-score of pred against truth."""
     return {
-        "ri": rand_index(truth.labels, labels),
-        "ari": adjusted_rand_index(truth.labels, labels),
-        "fs": pairwise_f_score(truth.labels, labels),
+        "ri": rand_index(truth, pred),
+        "ari": adjusted_rand_index(truth, pred),
+        "fs": pairwise_f_score(truth, pred),
     }
+
+
+def _load_truth(labels_true_path, n: int) -> np.ndarray:
+    truth = load_labels_csv(_require_file(labels_true_path))
+    if truth.n != n:
+        raise UsageError(f"label count mismatch: {labels_true_path} has {truth.n} rows, expected {n}")
+    return truth.labels
+
+
+def _check_threads() -> None:
+    try:
+        query_workers()
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _report_dict(source_path: Path, matrix: bool, src, cfg: PavaConfig,
@@ -191,21 +203,14 @@ def _report_dict(source_path: Path, matrix: bool, src, cfg: PavaConfig,
     }
 
 
-def _emit_artifacts(args, src, cfg: PavaConfig, model: ClusterModel) -> None:
+def _emit_artifacts(args, model: ClusterModel) -> None:
     if args.emit_kdist:
-        k = cfg.k if cfg.k is not None else default_k(src.n)
-        profile = k_distance_all(src, k)
-        np.savetxt(args.emit_kdist, profile.kdist.reshape(-1, 1), fmt="%.17g")
+        np.savetxt(args.emit_kdist, model.density.kdist.reshape(-1, 1), fmt="%.17g")
     if args.emit_mst:
-        from .mstgraph import adjust_weights, build_mst
-
-        raw = build_mst(src, cfg.mst_mode)
-        _write_edges(f"{args.emit_mst}.mst_raw.csv", raw)
-        if cfg.use_adjusted:
-            k = cfg.k if cfg.k is not None else default_k(src.n)
-            adjusted = adjust_weights(raw, k_distance_all(src, k))
-            _write_edges(f"{args.emit_mst}.mst_adjusted.csv", adjusted)
-    if args.emit_histogram and model.histograms:
+        _write_edges(f"{args.emit_mst}.mst_raw.csv", model.raw_tree)
+        if model.tree is not model.raw_tree:
+            _write_edges(f"{args.emit_mst}.mst_adjusted.csv", model.tree)
+    if args.emit_histogram:
         for i, (hist, rnd) in enumerate(zip(model.histograms, model.rounds), start=1):
             rows = np.column_stack([
                 hist.bin_centers,
@@ -231,19 +236,20 @@ def _write_edges(path, tree) -> None:
 
 
 def cmd_cluster(args) -> int:
+    _check_threads()
     input_path = _require_file(args.input)
     src = _load_source(input_path, args.matrix)
     cfg = _make_config(args, src.n)
-    model = run(src, cfg, keep_histograms=bool(args.emit_histogram))
+    model = run(src, cfg)
 
-    metrics = _metrics_block(args.labels_true, model.labels) if args.labels_true else None
+    metrics = _scores(_load_truth(args.labels_true, src.n), model.labels) if args.labels_true else None
     labels_out = Path(args.labels_out) if args.labels_out else _default_out(input_path, ".pred.csv")
     report_out = Path(args.report_out) if args.report_out else _default_out(input_path, ".report.json")
     save_labels_csv(labels_out, model.labels)
     with open(report_out, "w") as fh:
         json.dump(_report_dict(input_path, args.matrix, src, cfg, model, metrics), fh, indent=2)
         fh.write("\n")
-    _emit_artifacts(args, src, cfg, model)
+    _emit_artifacts(args, model)
     print(f"clustered {src.n} objects into {model.m} clusters "
           f"in {model.timings['total_s']:.3f}s -> {labels_out}")
     return 0
@@ -254,10 +260,7 @@ def cmd_evaluate(args) -> int:
     truth = load_labels_csv(_require_file(args.labels_true))
     if pred.n != truth.n:
         raise UsageError(f"label count mismatch: {pred.n} vs {truth.n}")
-    ri = rand_index(truth.labels, pred.labels)
-    ari = adjusted_rand_index(truth.labels, pred.labels)
-    fs = pairwise_f_score(truth.labels, pred.labels)
-    print(f"{ri},{ari},{fs}")
+    print(",".join(map(str, _scores(truth.labels, pred.labels).values())))
     return 0
 
 
@@ -270,13 +273,10 @@ def cmd_sweep(args) -> int:
         raise UsageError("empty k list")
     if args.repeats < 1:
         raise UsageError("repeats must be >= 1")
+    _check_threads()
     input_path = _require_file(args.input)
     src = _load_source(input_path, args.matrix)
-    truth = None
-    if args.labels_true:
-        truth = load_labels_csv(_require_file(args.labels_true))
-        if truth.n != src.n:
-            raise UsageError(f"label count mismatch: {truth.n} vs {src.n}")
+    truth = _load_truth(args.labels_true, src.n) if args.labels_true else None
 
     lines = ["dataset,k,repeat,seed,RI,ARI,FS,M,runtime_ms,density_ms,mst_ms,extract_ms,propagate_ms"]
     for k in k_values:
@@ -287,16 +287,10 @@ def cmd_sweep(args) -> int:
             start = time.perf_counter()
             model = run(src, cfg)
             runtime_ms = (time.perf_counter() - start) * 1000.0
-            if truth is not None:
-                ri = rand_index(truth.labels, model.labels)
-                ari = adjusted_rand_index(truth.labels, model.labels)
-                fs = pairwise_f_score(truth.labels, model.labels)
-                ri_s, ari_s, fs_s = str(ri), str(ari), str(fs)
-            else:
-                ri_s = ari_s = fs_s = ""
+            scores = _scores(truth, model.labels).values() if truth is not None else ("",) * 3
             t = model.timings
             lines.append(
-                f"{input_path.name},{k},{rep},{args.seed},{ri_s},{ari_s},{fs_s},{model.m},"
+                f"{input_path.name},{k},{rep},{args.seed},{','.join(map(str, scores))},{model.m},"
                 f"{runtime_ms:.3f},{t['density_s'] * 1e3:.3f},{t['mst_s'] * 1e3:.3f},"
                 f"{t['extraction_s'] * 1e3:.3f},{t['propagation_s'] * 1e3:.3f}"
             )

@@ -77,11 +77,16 @@ class ClusterRound:
 
 @dataclass
 class ClusterModel:
+    """A run's labels, rounds and timings, and the density, trees and histograms it used."""
+
     labels: np.ndarray
     m: int
     rounds: list[ClusterRound]
     timings: dict[str, float]
-    histograms: list[DistanceHistogram] | None = field(default=None, repr=False)
+    histograms: list[DistanceHistogram] = field(repr=False)
+    density: DensityProfile = field(repr=False)
+    raw_tree: SpanningTree = field(repr=False)
+    tree: SpanningTree = field(repr=False)
 
 
 def select_center(density: DensityProfile, labeled: np.ndarray) -> int:
@@ -106,6 +111,16 @@ def _round_radius(tree: SpanningTree, center: int, cfg: PavaConfig):
     return mm, radius, hist, degenerate
 
 
+def _claim(tree: SpanningTree, center: int, cfg: PavaConfig, labeled: np.ndarray):
+    """One round's claimed objects, radius and histogram (None if degenerate)."""
+    mm, radius, hist, degenerate = _round_radius(tree, center, cfg)
+    if degenerate:
+        claimed = np.flatnonzero(~labeled)
+    else:
+        claimed = np.flatnonzero(~labeled & (mm.dist < radius))
+    return claimed, radius, hist
+
+
 def extract_cluster(tree: SpanningTree, center: int, cfg: PavaConfig, labeled: np.ndarray):
     """Claim every unlabeled object whose minmax distance to center is < radius.
 
@@ -115,15 +130,11 @@ def extract_cluster(tree: SpanningTree, center: int, cfg: PavaConfig, labeled: n
     """
     if labeled[center]:
         raise ValueError(f"center {center} is already labeled")
-    mm, radius, _, degenerate = _round_radius(tree, center, cfg)
-    if degenerate:
-        claimed = np.flatnonzero(~labeled)
-    else:
-        claimed = np.flatnonzero(~labeled & (mm.dist < radius))
+    claimed, radius, _ = _claim(tree, center, cfg, labeled)
     return claimed, radius
 
 
-def run(src, cfg: PavaConfig | None = None, keep_histograms: bool = False) -> ClusterModel:
+def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
     """Cluster a PointSet or DissimilarityMatrix; deterministic for fixed inputs."""
     if cfg is None:
         cfg = PavaConfig()
@@ -141,9 +152,8 @@ def run(src, cfg: PavaConfig | None = None, keep_histograms: bool = False) -> Cl
     density = k_distance_all(src, k)
     t1 = time.perf_counter()
     timings["density_s"] = t1 - t0
-    tree = build_mst(src, cfg.mst_mode)
-    if cfg.use_adjusted:
-        tree = adjust_weights(tree, density)
+    raw_tree = build_mst(src, cfg.mst_mode)
+    tree = adjust_weights(raw_tree, density) if cfg.use_adjusted else raw_tree
     t2 = time.perf_counter()
     timings["mst_s"] = t2 - t1
 
@@ -155,15 +165,11 @@ def run(src, cfg: PavaConfig | None = None, keep_histograms: bool = False) -> Cl
         round_start = time.perf_counter()
         labeled = labels > 0
         center = select_center(density, labeled)
-        mm, radius, hist, degenerate = _round_radius(tree, center, cfg)
-        if degenerate:
-            claimed = np.flatnonzero(~labeled)
-        else:
-            claimed = np.flatnonzero(~labeled & (mm.dist < radius))
+        claimed, radius, hist = _claim(tree, center, cfg, labeled)
         m = len(rounds) + 1
         labels[claimed] = m
         rounds.append(ClusterRound(center, radius, claimed, time.perf_counter() - round_start))
-        if keep_histograms and hist is not None:
+        if hist is not None:
             histograms.append(hist)
         labeled_count = int(np.count_nonzero(labels))
         if labeled_count >= target_labeled or n - labeled_count < cfg.min_unlabeled:
@@ -181,5 +187,8 @@ def run(src, cfg: PavaConfig | None = None, keep_histograms: bool = False) -> Cl
         m=len(rounds),
         rounds=rounds,
         timings=timings,
-        histograms=histograms if keep_histograms else None,
+        histograms=histograms,
+        density=density,
+        raw_tree=raw_tree,
+        tree=tree,
     )

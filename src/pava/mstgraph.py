@@ -3,8 +3,10 @@
 The minmax (path) distance between two objects is the smallest possible
 bottleneck: the minimum over all connecting paths of the maximum edge weight
 along the path. On the minimum spanning tree of the complete dissimilarity
-graph, the unique tree path realizes that minimum, so a single traversal from
-a center yields its minmax distance to every other object.
+graph, the unique tree path realizes that minimum. A tree also stores the leaf
+order of its own Kruskal dendrogram, in which the minmax distance between the
+leaves at positions i < j is max(gap[i:j]) (Gower & Ross 1969), so a center's
+distances to every object take two prefix-maximum scans.
 
 Density adjustment rescales each tree edge to the cube root of
 weight * kdist(u) * kdist(v): edges touching sparse-region vertices (large
@@ -15,7 +17,6 @@ leaving dense regions nearly untouched.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,9 @@ APPROX_MIN_NEIGHBORS = 10
 
 @dataclass(frozen=True, eq=False)
 class SpanningTree:
-    """Spanning tree over n vertices: n-1 weighted edges plus adjacency lists."""
+    """Spanning tree over n vertices: n-1 weighted edges, their dendrogram leaf
+    ``order``, its inverse ``rank``, and ``gap[i]``, the merge weight between
+    leaves ``order[i]`` and ``order[i + 1]``."""
 
     n: int
     edge_u: np.ndarray
@@ -53,29 +56,10 @@ class SpanningTree:
         object.__setattr__(self, "edge_u", edge_u)
         object.__setattr__(self, "edge_v", edge_v)
         object.__setattr__(self, "edge_w", edge_w)
-        adjacency = [[] for _ in range(self.n)]
-        for u, v, w in zip(edge_u, edge_v, edge_w):
-            adjacency[u].append((int(v), float(w)))
-            adjacency[v].append((int(u), float(w)))
-        object.__setattr__(self, "_adjacency", adjacency)
-        if not self._is_connected():
-            raise ValueError("edges do not form a connected tree")
-
-    def _is_connected(self) -> bool:
-        seen = np.zeros(self.n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v, _ in self._adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return bool(seen.all())
-
-    @property
-    def adjacency(self) -> list:
-        return self._adjacency
+        order, gap = _dendrogram_order(self.n, edge_u, edge_v, edge_w)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "rank", np.argsort(order))
+        object.__setattr__(self, "gap", gap)
 
     @property
     def total_weight(self) -> float:
@@ -181,6 +165,28 @@ class _UnionFind:
         return True
 
 
+def _dendrogram_order(n: int, edge_u, edge_v, edge_w):
+    """Kruskal over the tree's own edges in (w, u, v) order, appending the leaf
+    list of v's component to u's at each merge; returns (order, gap)."""
+    uf = _UnionFind(n)
+    head, tail = list(range(n)), list(range(n))
+    next_leaf, gap_after = [0] * n, [0.0] * n
+    us, vs, ws = edge_u.tolist(), edge_v.tolist(), edge_w.tolist()
+    for i in np.lexsort((edge_v, edge_u, edge_w)).tolist():
+        a, b = uf.find(us[i]), uf.find(vs[i])
+        if a == b:
+            raise ValueError("edges do not form a connected tree")
+        next_leaf[tail[a]], gap_after[tail[a]] = head[b], ws[i]
+        uf.union(a, b)
+        root = uf.find(a)
+        head[root], tail[root] = head[a], tail[b]
+    order = [head[uf.find(0)]]
+    for _ in range(n - 1):
+        order.append(next_leaf[order[-1]])
+    order = np.array(order, dtype=np.int64)
+    return order, np.array(gap_after)[order[:-1]]
+
+
 def _kruskal_knn(src) -> SpanningTree:
     n = src.n
     k_graph = max(default_k(n), APPROX_MIN_NEIGHBORS)
@@ -245,27 +251,16 @@ def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:
 
 
 def minmax_from_center(tree: SpanningTree, center: int) -> MinmaxVector:
-    """Minmax distance from center to every vertex via one tree traversal.
-
-    Each vertex's value is the maximum edge weight on its unique tree path
-    from the center: the max of its parent's value and the connecting edge.
+    """Minmax distance from center to every vertex: the largest gap between
+    their positions in the dendrogram order, found by two prefix-maximum scans.
     """
     if not 0 <= center < tree.n:
         raise ValueError(f"center {center} out of range [0, {tree.n})")
-    dist = np.zeros(tree.n)
-    visited = np.zeros(tree.n, dtype=bool)
-    visited[center] = True
-    queue = deque([center])
-    adjacency = tree.adjacency
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v, w in adjacency[u]:
-            if not visited[v]:
-                visited[v] = True
-                dist[v] = w if w > du else du
-                queue.append(v)
-    return MinmaxVector(center, dist)
+    r = int(tree.rank[center])
+    by_position = np.zeros(tree.n)
+    by_position[r + 1:] = np.maximum.accumulate(tree.gap[r:])
+    by_position[:r] = np.maximum.accumulate(tree.gap[:r][::-1])[::-1]
+    return MinmaxVector(center, by_position[tree.rank])
 
 
 def propagate_labels(tree: SpanningTree, labels) -> np.ndarray:
@@ -273,7 +268,7 @@ def propagate_labels(tree: SpanningTree, labels) -> np.ndarray:
 
     Nearness is summed path weight along the tree (multi-source shortest
     path); distance ties break toward the smaller label value. Labels are
-    positive integers; 0 marks unlabeled.
+    positive integers; 0 marks unlabeled. Labeled vertices keep their labels.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (tree.n,):
@@ -283,17 +278,21 @@ def propagate_labels(tree: SpanningTree, labels) -> np.ndarray:
     out = labels.copy()
     if np.all(out > 0):
         return out
+    neighbors = [[] for _ in range(tree.n)]
+    for u, v, w in tree.edges():
+        neighbors[u].append((v, w))
+        neighbors[v].append((u, w))
     settled = np.zeros(tree.n, dtype=bool)
     heap = [(0.0, int(lab), int(v)) for v, lab in enumerate(labels) if lab > 0]
     heapq.heapify(heap)
-    adjacency = tree.adjacency
     while heap:
         d, lab, u = heapq.heappop(heap)
         if settled[u]:
             continue
         settled[u] = True
-        out[u] = lab
-        for v, w in adjacency[u]:
+        if out[u] == 0:  # a zero-weight edge can reach a labeled vertex first
+            out[u] = lab
+        for v, w in neighbors[u]:
             if not settled[v]:
                 heapq.heappush(heap, (d + w, lab, v))
     return out

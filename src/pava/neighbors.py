@@ -21,12 +21,12 @@ DEFAULT_LEAF_SIZE = 16
 
 
 def query_workers() -> int:
-    """Worker count for parallel tree queries; PAVA_THREADS caps it (0 = auto)."""
-    raw = os.environ.get("PAVA_THREADS", "0")
+    """Worker count for parallel tree queries; PAVA_THREADS caps it (0 = auto, non-integer = error)."""
+    raw = os.environ.get("PAVA_THREADS") or "0"
     try:
         threads = int(raw)
     except ValueError:
-        threads = 0
+        raise ValueError(f"PAVA_THREADS must be an integer, got {raw!r}") from None
     return -1 if threads <= 0 else threads
 
 

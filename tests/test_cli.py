@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from pava.cli import main
-from pava.dataset import generate_synthetic, save_labels_csv, save_points_csv
+from pava.dataset import generate_synthetic, load_points_csv, save_labels_csv, save_points_csv
+from pava.engine import run
 from pava.metrics import adjusted_rand_index
+from pava.mstgraph import adjust_weights, build_mst
+from pava.neighbors import default_k, k_distance_all
 
 from oracles import euclidean_matrix
 
@@ -126,6 +129,33 @@ class TestCluster:
         assert hist1[0] == "bin_center,raw_freq,shifted_freq,smoothed_freq,radius"
         assert len(hist1) == 201
 
+        # Byte-identical to the same artifacts written from a direct library run.
+        points = load_points_csv(pf)[0]
+        model = run(points)
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        density = k_distance_all(points, default_k(points.n))
+        np.savetxt(ref / "kdist.csv", density.kdist, fmt="%.17g")
+        raw = build_mst(points)
+        for name, tree in (("raw", raw), ("adjusted", adjust_weights(raw, density))):
+            np.savetxt(ref / f"mst_{name}.csv",
+                       np.column_stack([tree.edge_u, tree.edge_v, tree.edge_w]),
+                       fmt=("%d", "%d", "%.17g"), delimiter=",", header="u,v,weight",
+                       comments="")
+        assert (tmp_path / "kdist.csv").read_bytes() == (ref / "kdist.csv").read_bytes()
+        for name in ("raw", "adjusted"):
+            assert ((tmp_path / f"dump.mst_{name}.csv").read_bytes()
+                    == (ref / f"mst_{name}.csv").read_bytes())
+        assert len(model.histograms) >= 1
+        for i, (hist, rnd) in enumerate(zip(model.histograms, model.rounds), start=1):
+            rows = np.column_stack([hist.bin_centers, hist.raw_freq, hist.shifted_freq,
+                                    hist.smoothed_freq, np.full(hist.bins, rnd.radius)])
+            np.savetxt(ref / "hist.csv", rows, fmt="%.17g", delimiter=",",
+                       header="bin_center,raw_freq,shifted_freq,smoothed_freq,radius",
+                       comments="")
+            assert ((tmp_path / f"dump.round{i}.csv").read_bytes()
+                    == (ref / "hist.csv").read_bytes())
+
     def test_no_adjust_flag(self, tmp_path):
         points, truth = generate_synthetic("spiral", 300, seed=2)
         pf = tmp_path / "sp.points.csv"
@@ -133,9 +163,20 @@ class TestCluster:
         labels_out = tmp_path / "pred.csv"
         assert main(["cluster", str(pf), "--no-adjust",
                      "--labels-out", str(labels_out),
-                     "--report-out", str(tmp_path / "r.json")]) == 0
+                     "--report-out", str(tmp_path / "r.json"),
+                     "--emit-mst", str(tmp_path / "dump")]) == 0
         pred = np.loadtxt(labels_out, dtype=int)
         assert adjusted_rand_index(truth.labels, pred) == 1.0
+        assert (tmp_path / "dump.mst_raw.csv").exists()
+        assert not (tmp_path / "dump.mst_adjusted.csv").exists()
+
+    def test_malformed_threads_exit_2(self, moons_files, monkeypatch, capsys):
+        pf, _ = moons_files
+        monkeypatch.setenv("PAVA_THREADS", "abc")
+        assert main(["cluster", str(pf)]) == 2
+        assert "PAVA_THREADS" in capsys.readouterr().err
+        assert main(["sweep", str(pf), "--k-values", "7"]) == 2
+        assert "'abc'" in capsys.readouterr().err
 
 
 class TestEvaluate:

@@ -5,8 +5,8 @@ import pava.engine as engine_mod
 from pava.dataset import DissimilarityMatrix, PointSet, generate_synthetic
 from pava.engine import ClusterModel, PavaConfig, extract_cluster, run, select_center
 from pava.metrics import adjusted_rand_index
-from pava.mstgraph import build_mst
-from pava.neighbors import DensityProfile
+from pava.mstgraph import adjust_weights, build_mst
+from pava.neighbors import DensityProfile, default_k, k_distance_all
 
 from oracles import euclidean_matrix
 
@@ -187,10 +187,24 @@ class TestRun:
 
     def test_keep_histograms(self):
         points, _ = generate_synthetic("twomoons", 300, seed=11)
-        model = run(points, keep_histograms=True)
+        model = run(points)
         assert model.histograms is not None
         assert len(model.histograms) <= len(model.rounds)
         assert all(h.smoothed_freq is not None for h in model.histograms)
+
+    @pytest.mark.parametrize("use_adjusted", [True, False])
+    def test_model_carries_density_and_trees(self, use_adjusted):
+        points, _ = generate_synthetic("twomoons", 300, seed=11)
+        model = run(points, PavaConfig(use_adjusted=use_adjusted))
+        assert np.array_equal(model.density.kdist, k_distance_all(points, default_k(300)).kdist)
+        assert model.raw_tree.kind == "raw"
+        assert model.raw_tree.total_weight == build_mst(points).total_weight
+        if use_adjusted:
+            assert model.tree.kind == "adjusted"
+            assert np.array_equal(model.tree.edge_w,
+                                  adjust_weights(model.raw_tree, model.density).edge_w)
+        else:
+            assert model.tree is model.raw_tree
 
 
 class TestPavaConfig:

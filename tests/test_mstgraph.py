@@ -30,6 +30,21 @@ def _chain(weights):
     return SpanningTree(n, np.arange(n - 1), np.arange(1, n), np.asarray(weights, float))
 
 
+def _tie_heavy_tree(rng, n):
+    """Random tree on shuffled vertex ids whose edge weights are 0, 1 or 2."""
+    perm = rng.permutation(n)
+    parents = [int(rng.integers(0, v)) for v in range(1, n)]
+    return SpanningTree(n, perm[parents], perm[1:], rng.integers(0, 3, n - 1).astype(float))
+
+
+def _edge_matrix(tree):
+    """Dense weight matrix of the tree's edges, inf between non-adjacent vertices."""
+    m = np.full((tree.n, tree.n), np.inf)
+    m[tree.edge_u, tree.edge_v] = tree.edge_w
+    m[tree.edge_v, tree.edge_u] = tree.edge_w
+    return m
+
+
 class TestBuildMst:
     def test_unique_mst_on_line(self):
         tree = build_mst(_points_1d([0, 1, 3]))
@@ -154,10 +169,14 @@ class TestMinmaxFromCenter:
     def test_matches_closure_oracle(self):
         rng = np.random.default_rng(18)
         coords = rng.normal(size=(10, 2))
-        closure = minmax_closure(euclidean_matrix(coords))
-        tree = build_mst(PointSet(coords))
-        for source in range(10):
-            assert np.array_equal(minmax_from_center(tree, source).dist, closure[source])
+        cases = [(build_mst(PointSet(coords)), minmax_closure(euclidean_matrix(coords)))]
+        # Tie-heavy trees: many equal and zero weights, shuffled vertex ids.
+        for n in (1, 2, 3, 8, 15, 30, 30, 30):
+            tree = _tie_heavy_tree(rng, n)
+            cases.append((tree, minmax_closure(_edge_matrix(tree))))
+        for tree, closure in cases:
+            for source in range(tree.n):
+                assert np.array_equal(minmax_from_center(tree, source).dist, closure[source])
 
     def test_ultrametric_triple_inequality(self):
         rng = np.random.default_rng(19)
@@ -196,22 +215,27 @@ class TestPropagateLabels:
     def test_matches_bruteforce_path_scan(self):
         rng = np.random.default_rng(23)
         n = 200
-        parents = [int(rng.integers(0, v)) for v in range(1, n)]
-        weights = rng.uniform(0.1, 3.0, n - 1)
-        tree = SpanningTree(n, parents, np.arange(1, n), weights)
-        labels = np.zeros(n, dtype=np.int64)
-        seeds = rng.choice(n, size=12, replace=False)
-        labels[seeds] = rng.integers(1, 5, size=12)
-        got = propagate_labels(tree, labels)
-        lengths = np.array([tree_path_lengths(n, tree.edges(), int(s)) for s in seeds])
-        for v in range(n):
-            if labels[v] > 0:
-                assert got[v] == labels[v]
-                continue
-            dists = lengths[:, v]
-            best = dists.min()
-            candidates = labels[seeds[dists == best]]
-            assert got[v] == candidates.min()
+        # Integer weights make equal path sums common, pinning the smaller-label rule.
+        for tie_heavy in (False, True, True, True):
+            if tie_heavy:
+                tree = _tie_heavy_tree(rng, n)
+            else:
+                parents = [int(rng.integers(0, v)) for v in range(1, n)]
+                weights = rng.uniform(0.1, 3.0, n - 1)
+                tree = SpanningTree(n, parents, np.arange(1, n), weights)
+            labels = np.zeros(n, dtype=np.int64)
+            seeds = rng.choice(n, size=12, replace=False)
+            labels[seeds] = rng.integers(1, 5, size=12)
+            got = propagate_labels(tree, labels)
+            lengths = np.array([tree_path_lengths(n, tree.edges(), int(s)) for s in seeds])
+            for v in range(n):
+                if labels[v] > 0:
+                    assert got[v] == labels[v]
+                    continue
+                dists = lengths[:, v]
+                best = dists.min()
+                candidates = labels[seeds[dists == best]]
+                assert got[v] == candidates.min()
 
 
 class TestSpanningTreeInvariants:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pava.dataset import DissimilarityMatrix, PointSet
-from pava.neighbors import build_index, default_k, k_distance_all
+from pava.neighbors import build_index, default_k, k_distance_all, query_workers
 
 from oracles import brute_knn, euclidean_matrix, kdist_bruteforce
 
@@ -47,6 +47,24 @@ class TestDefaultK:
 
     def test_at_least_one(self):
         assert default_k(2) == 1
+
+
+class TestQueryWorkers:
+    @pytest.mark.parametrize("value, workers", [
+        (None, -1), ("", -1), ("0", -1), ("-3", -1), ("1", 1), ("2", 2),
+    ])
+    def test_valid_values(self, monkeypatch, value, workers):
+        if value is None:
+            monkeypatch.delenv("PAVA_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("PAVA_THREADS", value)
+        assert query_workers() == workers
+
+    @pytest.mark.parametrize("value", ["abc", "2.5", "two"])
+    def test_malformed_value_is_error(self, monkeypatch, value):
+        monkeypatch.setenv("PAVA_THREADS", value)
+        with pytest.raises(ValueError, match=f"PAVA_THREADS.*{value}"):
+            query_workers()
 
 
 class TestKDistanceAll:
