@@ -27,8 +27,7 @@ from .dataset import (
 )
 from .engine import ClusterModel, PavaConfig, run
 from .metrics import adjusted_rand_index, pairwise_f_score, rand_index
-# perfbench's tracer wraps default_k and k_distance_all as attributes of pava.cli.
-from .neighbors import default_k, k_distance_all, query_workers  # noqa: F401
+from .neighbors import default_k, k_distance_all, query_workers  # noqa: F401 (traced)
 
 REPORT_SCHEMA = 1
 
@@ -203,13 +202,17 @@ def _report_dict(source_path: Path, matrix: bool, src, cfg: PavaConfig,
     }
 
 
-def _emit_artifacts(args, model: ClusterModel) -> None:
-    if args.emit_kdist:
-        np.savetxt(args.emit_kdist, model.density.kdist.reshape(-1, 1), fmt="%.17g")
+def _emit_artifacts(args, src, cfg: PavaConfig, model: ClusterModel) -> None:
+    if args.emit_kdist:  # recomputed, like the trees below: see ROADMAP item 2
+        np.savetxt(args.emit_kdist, k_distance_all(src, model.density.k).kdist.reshape(-1, 1), fmt="%.17g")
     if args.emit_mst:
-        _write_edges(f"{args.emit_mst}.mst_raw.csv", model.raw_tree)
-        if model.tree is not model.raw_tree:
-            _write_edges(f"{args.emit_mst}.mst_adjusted.csv", model.tree)
+        from .mstgraph import adjust_weights, build_mst
+
+        raw = build_mst(src, cfg.mst_mode)
+        _write_edges(f"{args.emit_mst}.mst_raw.csv", raw)
+        if cfg.use_adjusted:
+            _write_edges(f"{args.emit_mst}.mst_adjusted.csv",
+                         adjust_weights(raw, k_distance_all(src, model.density.k)))
     if args.emit_histogram:
         for i, (hist, rnd) in enumerate(zip(model.histograms, model.rounds), start=1):
             rows = np.column_stack([
@@ -249,7 +252,7 @@ def cmd_cluster(args) -> int:
     with open(report_out, "w") as fh:
         json.dump(_report_dict(input_path, args.matrix, src, cfg, model, metrics), fh, indent=2)
         fh.write("\n")
-    _emit_artifacts(args, model)
+    _emit_artifacts(args, src, cfg, model)
     print(f"clustered {src.n} objects into {model.m} clusters "
           f"in {model.timings['total_s']:.3f}s -> {labels_out}")
     return 0
