@@ -30,6 +30,9 @@ KDIST_FLOOR_REL = 1e-12
 
 APPROX_MIN_NEIGHBORS = 10
 
+# numpy sums a row of at least this many values pairwise, not left to right.
+_PAIRWISE_SUM_D = 8
+
 
 @dataclass(frozen=True, eq=False)
 class SpanningTree:
@@ -49,6 +52,10 @@ class SpanningTree:
         edge_w = np.asarray(self.edge_w, dtype=np.float64)
         if not (len(edge_u) == len(edge_v) == len(edge_w) == self.n - 1):
             raise ValueError(f"expected {self.n - 1} edges, got {len(edge_w)}")
+        ids = np.concatenate([edge_u, edge_v])
+        outside = ids[(ids < 0) | (ids >= self.n)]
+        if outside.size:
+            raise ValueError(f"vertex id {outside[0]} out of range [0, {self.n})")
         if not np.all(np.isfinite(edge_w)) or np.any(edge_w < 0):
             raise ValueError("edge weights must be finite and non-negative")
         if self.kind not in ("raw", "adjusted"):
@@ -78,18 +85,14 @@ class MinmaxVector:
     dist: np.ndarray
 
 
-def _row_distances(src, i: int) -> np.ndarray:
-    if isinstance(src, PointSet):
-        diff = src.coords - src.coords[i]
-        return np.sqrt((diff * diff).sum(axis=1))
-    return src.values[i]
-
-
 def build_mst(src, mode: str = "exact") -> SpanningTree:
     """Minimum spanning tree of the complete dissimilarity graph.
 
-    exact: dense Prim, O(N^2) time and O(N) memory, with distance rows
-    computed on the fly. approximate: Kruskal over the union of kNN edges,
+    exact: dense Prim from vertex 0, O(N^2) time and O(N) memory. Each step
+    computes distances only to the vertices still outside the tree, held in
+    compacted arrays. The lightest edge into the tree is taken next, the
+    smallest vertex id among equal weights, and an equal-weight update keeps
+    the smaller parent id. approximate: Kruskal over the union of kNN edges,
     stitching any residual components through their nearest inter-component
     pair; always returns a connected tree.
     """
@@ -101,27 +104,65 @@ def build_mst(src, mode: str = "exact") -> SpanningTree:
 
 
 def _prim_exact(src) -> SpanningTree:
+    """Prim from vertex 0 over the m vertices still outside the tree.
+
+    Slots [0, m) of ``rest``, ``best`` and ``parent`` hold those vertices, the
+    weight of their lightest edge into the tree and its tree end; the vertex
+    taken into the tree leaves its slot to the one in slot m - 1.
+    """
     n = src.n
-    in_tree = np.zeros(n, dtype=bool)
-    best = np.full(n, np.inf)
-    parent = np.full(n, n, dtype=np.int64)
-    best[0] = 0.0
-    edge_u, edge_v, edge_w = [], [], []
-    for _ in range(n):
-        key = np.where(in_tree, np.inf, best)
-        u = int(np.argmin(key))  # ties resolve to the smallest index
-        in_tree[u] = True
-        if parent[u] < n:
-            edge_u.append(int(parent[u]))
-            edge_v.append(u)
-            edge_w.append(float(best[u]))
-        du = _row_distances(src, u)
-        # Tie on weight keeps the smaller parent index, making the tree
-        # deterministic under duplicate distances.
-        better = ~in_tree & ((du < best) | ((du == best) & (u < parent)))
-        best[better] = du[better]
-        parent[better] = u
-    return SpanningTree(n, np.array(edge_u), np.array(edge_v), np.array(edge_w), "raw")
+    rest = np.arange(1, n)
+    best = np.full(n - 1, np.inf)
+    parent = np.full(n - 1, n, dtype=np.int64)
+    du, sq = np.empty(n - 1), np.empty(n - 1)
+    lighter, tie, later = (np.empty(n - 1, dtype=bool) for _ in range(3))
+    edge_u = np.empty(n - 1, dtype=np.int64)
+    edge_v = np.empty(n - 1, dtype=np.int64)
+    edge_w = np.empty(n - 1)
+    points = isinstance(src, PointSet)
+    if points:
+        x, dim = src.coords, src.dim
+        # A copy, never a view of the caller's points: its rows are swapped.
+        # For dim < _PAIRWISE_SUM_D each coordinate is a contiguous column.
+        kept = np.array(x[1:], order="F" if dim < _PAIRWISE_SUM_D else "C")
+    u = 0
+    for m in range(n - 1, 0, -1):
+        d, s, b, p, r = du[:m], sq[:m], best[:m], parent[:m], rest[:m]
+        lt, eq, gt = lighter[:m], tie[:m], later[:m]
+        if not points:
+            np.take(src.values[u], r, out=d)
+        elif dim < _PAIRWISE_SUM_D:
+            # Adding column by column repeats numpy's left-to-right row sum.
+            np.subtract(kept[:m, 0], x[u, 0], out=d)
+            np.multiply(d, d, out=d)
+            for c in range(1, dim):
+                np.subtract(kept[:m, c], x[u, c], out=s)
+                np.multiply(s, s, out=s)
+                np.add(d, s, out=d)
+            np.sqrt(d, out=d)
+        else:
+            diff = kept[:m] - x[u]
+            np.sqrt((diff * diff).sum(axis=1), out=d)
+        # A tie on weight keeps the smaller parent id.
+        np.less(d, b, out=lt)
+        np.equal(d, b, out=eq)
+        np.logical_and(eq, np.greater(p, u, out=gt), out=eq)
+        np.logical_or(lt, eq, out=lt)
+        np.copyto(b, d, where=lt)
+        np.copyto(p, u, where=lt)
+        # The lightest edge into the tree; equal weights take the smallest id.
+        j = int(np.argmin(b))
+        if np.count_nonzero(np.equal(b, b[j], out=eq)) > 1:
+            ties = np.flatnonzero(eq)
+            j = int(ties[np.argmin(r[ties])])
+        i = n - 1 - m
+        edge_u[i], edge_v[i], edge_w[i] = p[j], r[j], b[j]
+        u = int(r[j])
+        last = m - 1
+        r[j], b[j], p[j] = r[last], b[last], p[last]
+        if points:
+            kept[j] = kept[last]
+    return SpanningTree(n, edge_u, edge_v, edge_w, "raw")
 
 
 def _candidate_knn_edges(src, k_graph: int):
@@ -225,7 +266,7 @@ def _nearest_cross_pair(src, uf: _UnionFind):
         return int(inside[j]), int(outside[nearest[j]]), float(dists[j])
     best = (np.inf, -1, -1)
     for i in inside:
-        row = _row_distances(src, int(i))[outside]
+        row = src.values[i][outside]
         j = int(np.argmin(row))
         if row[j] < best[0]:
             best = (float(row[j]), int(i), int(outside[j]))

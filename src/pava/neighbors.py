@@ -3,7 +3,8 @@
 The k-distance of an object is the distance to its k-th nearest other object:
 the k-th order statistic of its off-self distance list. Small values mark
 dense regions. Point mode answers queries exactly through a balanced
-multidimensional binary search tree; matrix mode sorts dissimilarity rows.
+multidimensional binary search tree; matrix mode partitions dissimilarity
+rows around their k-th smallest entry.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def k_distance_all(src, k: int) -> DensityProfile:
     elif isinstance(src, DissimilarityMatrix):
         values = src.values.copy()
         np.fill_diagonal(values, np.inf)
-        values.sort(axis=1)
+        values.partition(k - 1, axis=1)
         kdist = np.ascontiguousarray(values[:, k - 1])
     else:
         raise TypeError(f"unsupported source type {type(src).__name__}")

@@ -109,6 +109,43 @@ def kruskal_mst_total(dist_matrix: np.ndarray) -> float:
     return total
 
 
+def _row_distances(src, i: int) -> np.ndarray:
+    if hasattr(src, "coords"):
+        diff = src.coords - src.coords[i]
+        return np.sqrt((diff * diff).sum(axis=1))
+    return src.values[i]
+
+
+def prim_reference(src):
+    """Dense Prim with full-length passes per vertex, as edge arrays (u, v, w).
+
+    Equal keys go to the smallest vertex id and an equal-weight update keeps
+    the smaller parent id: the tie rule the library's exact tree must follow.
+    """
+    n = src.n
+    in_tree = np.zeros(n, dtype=bool)
+    best = np.full(n, np.inf)
+    parent = np.full(n, n, dtype=np.int64)
+    best[0] = 0.0
+    edge_u, edge_v, edge_w = [], [], []
+    for _ in range(n):
+        key = np.where(in_tree, np.inf, best)
+        u = int(np.argmin(key))  # ties resolve to the smallest index
+        in_tree[u] = True
+        if parent[u] < n:
+            edge_u.append(int(parent[u]))
+            edge_v.append(u)
+            edge_w.append(float(best[u]))
+        du = _row_distances(src, u)
+        # Tie on weight keeps the smaller parent index, making the tree
+        # deterministic under duplicate distances.
+        better = ~in_tree & ((du < best) | ((du == best) & (u < parent)))
+        best[better] = du[better]
+        parent[better] = u
+    return (np.array(edge_u, dtype=np.int64), np.array(edge_v, dtype=np.int64),
+            np.array(edge_w, dtype=np.float64))
+
+
 def minmax_exhaustive(dist_matrix: np.ndarray, source: int) -> np.ndarray:
     """Minmax distance from source to every vertex by enumerating every
     simple path of the complete graph (no pruning)."""

@@ -17,6 +17,7 @@ from oracles import (
     min_spanning_total_enumerated,
     minmax_closure,
     minmax_exhaustive,
+    prim_reference,
     tree_path_lengths,
 )
 
@@ -98,6 +99,30 @@ class TestBuildMst:
         exact = build_mst(m, "exact")
         assert len(approx.edge_w) == 79
         assert approx.total_weight <= exact.total_weight * 1.05
+
+    def test_exact_edges_match_reference_prim(self):
+        rng = np.random.default_rng(31)
+        # d = 8 and 10 sum each row pairwise, d < 8 left to right.
+        coords = [rng.normal(size=(n, d)) for d in (1, 2, 3, 7, 8, 10) for n in (2, 3, 60)]
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1).reshape(-1, 3)
+        coords += [grid, np.arange(30.0).reshape(-1, 1) % 4, np.tile(grid[:20, :2], (2, 1)),
+                   np.ones((7, 2)), np.full((5, 8), -2.5)]
+        sources = [PointSet(c) for c in coords]
+        for c in coords[:6]:
+            sources.append(DissimilarityMatrix(euclidean_matrix(c)))
+        sources += [DissimilarityMatrix(np.full((6, 6), 3.0) - 3.0 * np.eye(6)),
+                    DissimilarityMatrix(np.zeros((4, 4)))]
+        rounded = rng.integers(0, 4, size=(40, 40)).astype(float)
+        sources.append(DissimilarityMatrix(np.triu(rounded, 1) + np.triu(rounded, 1).T))
+        for src in sources:
+            before = src.coords.copy() if isinstance(src, PointSet) else src.values.copy()
+            tree = build_mst(src, "exact")
+            ref_u, ref_v, ref_w = prim_reference(src)
+            assert np.array_equal(tree.edge_u, ref_u)
+            assert np.array_equal(tree.edge_v, ref_v)
+            assert np.array_equal(tree.edge_w, ref_w)
+            after = src.coords if isinstance(src, PointSet) else src.values
+            assert np.array_equal(after, before)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
@@ -243,6 +268,12 @@ class TestSpanningTreeInvariants:
         # right edge count, but a doubled edge leaves {2, 3} in its own component
         with pytest.raises(ValueError, match="connected"):
             SpanningTree(4, [0, 1, 2], [1, 0, 3], [1.0, 1.0, 1.0])
+
+    def test_rejects_vertex_ids_out_of_range(self):
+        with pytest.raises(ValueError, match="vertex id -1 out of range"):
+            SpanningTree(3, [0, -1], [1, 0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="vertex id 3 out of range"):
+            SpanningTree(3, [0, 1], [1, 3], [1.0, 2.0])
 
     def test_rejects_wrong_edge_count(self):
         with pytest.raises(ValueError, match="edges"):
