@@ -132,7 +132,9 @@ def _prim_exact(src) -> SpanningTree:
         if not points:
             np.take(src.values[u], r, out=d)
         elif dim < _PAIRWISE_SUM_D:
-            # Adding column by column repeats numpy's left-to-right row sum.
+            # Adding column by column repeats numpy's left-to-right row sum
+            # bit for bit; a row sum over rows this short made rings-exact's
+            # cluster_s 2.6x slower.
             np.subtract(kept[:m, 0], x[u, 0], out=d)
             np.multiply(d, d, out=d)
             for c in range(1, dim):
