@@ -20,6 +20,7 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .dataset import PointSet
 from .neighbors import DensityProfile, default_k
@@ -93,8 +94,10 @@ def build_mst(src, mode: str = "exact") -> SpanningTree:
     compacted arrays. The lightest edge into the tree is taken next, the
     smallest vertex id among equal weights, and an equal-weight update keeps
     the smaller parent id. approximate: Kruskal over the union of kNN edges,
-    stitching any residual components through their nearest inter-component
-    pair; always returns a connected tree.
+    then Prim over that forest's components from vertex 0's, updated through
+    one small kd-tree per joined component: the nearest outside vertex (the
+    smallest id among equal distances) joins with its whole component, through
+    the earliest-joined of equally near tree vertices. Always connected.
     """
     if mode == "exact":
         return _prim_exact(src)
@@ -186,7 +189,10 @@ def _candidate_knn_edges(src, k_graph: int):
     u = np.minimum(rows, cols)
     v = np.maximum(rows, cols)
     order = np.lexsort((v, u, weights))
-    return u[order], v[order], weights[order]
+    u, v, weights = u[order], v[order], weights[order]
+    # Drop self-pairs (from duplicates) and the repeat of each mutual pair.
+    keep = (u != v) & np.append(True, (u[1:] != u[:-1]) | (v[1:] != v[:-1]))
+    return u[keep], v[keep], weights[keep]
 
 
 class _UnionFind:
@@ -244,35 +250,39 @@ def _kruskal_knn(src) -> SpanningTree:
             edge_w.append(float(w))
             if len(edge_w) == n - 1:
                 break
-    while len(edge_w) < n - 1:
-        u, v, w = _nearest_cross_pair(src, uf)
-        uf.union(u, v)
-        edge_u.append(u)
-        edge_v.append(v)
-        edge_w.append(w)
+    if len(edge_w) < n - 1:
+        _stitch(src, uf, edge_u, edge_v, edge_w)
     return SpanningTree(n, np.array(edge_u), np.array(edge_v), np.array(edge_w), "raw")
 
 
-def _nearest_cross_pair(src, uf: _UnionFind):
-    """Closest (inside, outside) pair for the component containing vertex 0."""
-    n = src.n
-    roots = np.fromiter((uf.find(i) for i in range(n)), dtype=np.int64, count=n)
-    inside = np.flatnonzero(roots == roots[0])
-    outside = np.flatnonzero(roots != roots[0])
-    if isinstance(src, PointSet):
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(src.coords[outside])
-        dists, nearest = tree.query(src.coords[inside], k=1)
-        j = int(np.argmin(dists))
-        return int(inside[j]), int(outside[nearest[j]]), float(dists[j])
-    best = (np.inf, -1, -1)
-    for i in inside:
-        row = src.values[i][outside]
-        j = int(np.argmin(row))
-        if row[j] < best[0]:
-            best = (float(row[j]), int(i), int(outside[j]))
-    return best[1], best[2], best[0]
+def _stitch(src, uf: _UnionFind, edge_u, edge_v, edge_w):
+    """Prim over the forest's components from vertex 0's, appending its edges."""
+    roots = np.fromiter((uf.find(i) for i in range(src.n)), dtype=np.int64, count=src.n)
+    # An outside vertex's distance to the tree and its nearest tree vertex.
+    key, near = np.full(src.n, np.inf), np.zeros(src.n, dtype=np.int64)
+    outside = roots != roots[0]
+    new = np.flatnonzero(~outside)
+    while outside.any():
+        rest = np.flatnonzero(outside)
+        if isinstance(src, PointSet):
+            x, part = src.coords, src.coords[new]
+            # Only a vertex whose distance to the component's bounding box is
+            # within its key can come closer; the slack is far above rounding.
+            gap = np.maximum(np.maximum(part.min(axis=0) - x[rest], x[rest] - part.max(axis=0)), 0)
+            rest = rest[np.sqrt((gap * gap).sum(axis=1)) <= key[rest] * (1 + 1e-9)]
+            d, j = cKDTree(part).query(x[rest], k=1)
+        else:
+            block = src.values[np.ix_(new, rest)]
+            d, j = block.min(axis=0), block.argmin(axis=0)
+        closer = d < key[rest]
+        key[rest[closer]], near[rest[closer]] = d[closer], new[j[closer]]
+        t = int(np.argmin(key))
+        edge_u.append(int(near[t]))
+        edge_v.append(t)
+        edge_w.append(float(key[t]))
+        new = np.flatnonzero(roots == roots[t])
+        outside[new] = False
+        key[new] = np.inf
 
 
 def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:

@@ -146,6 +146,99 @@ def prim_reference(src):
             np.array(edge_w, dtype=np.float64))
 
 
+def _knn_candidates(src, k_graph: int):
+    """Every kNN pair as (min id, max id, distance), repeats and self-pairs
+    included, in (w, u, v) order."""
+    n = src.n
+    if hasattr(src, "coords"):
+        from scipy.spatial import cKDTree
+
+        dists, idx = cKDTree(src.coords).query(src.coords, k_graph + 1)
+        rows = np.repeat(np.arange(n), k_graph)
+        cols = idx[:, 1:].ravel()
+        weights = dists[:, 1:].ravel()
+    else:
+        k_graph = min(k_graph, n - 1)
+        values = src.values.copy()
+        np.fill_diagonal(values, np.inf)
+        cols = np.argpartition(values, k_graph - 1, axis=1)[:, :k_graph].ravel()
+        rows = np.repeat(np.arange(n), k_graph)
+        weights = values[rows, cols]
+    u = np.minimum(rows, cols)
+    v = np.maximum(rows, cols)
+    order = np.lexsort((v, u, weights))
+    return u[order], v[order], weights[order]
+
+
+class _UnionFind:
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        self.parent[max(ra, rb)] = min(ra, rb)
+        return True
+
+
+def kruskal_knn_reference(src):
+    """Approximate tree by Kruskal over kNN edges, then one stitch per leftover
+    component through the nearest (inside, outside) pair of vertex 0's
+    component, found by a kd-tree over every outside vertex; as edge arrays.
+    """
+    n = src.n
+    # The library's kNN graph size: max(ceil(ln n), 10), at most n - 1.
+    k_graph = min(max(math.ceil(math.log(n)), 10), n - 1)
+    cand_u, cand_v, cand_w = _knn_candidates(src, k_graph)
+    uf = _UnionFind(n)
+    edge_u, edge_v, edge_w = [], [], []
+    for u, v, w in zip(cand_u, cand_v, cand_w):
+        if uf.union(int(u), int(v)):
+            edge_u.append(int(u))
+            edge_v.append(int(v))
+            edge_w.append(float(w))
+            if len(edge_w) == n - 1:
+                break
+    while len(edge_w) < n - 1:
+        u, v, w = _nearest_cross_pair(src, uf)
+        uf.union(u, v)
+        edge_u.append(u)
+        edge_v.append(v)
+        edge_w.append(w)
+    return (np.array(edge_u, dtype=np.int64), np.array(edge_v, dtype=np.int64),
+            np.array(edge_w, dtype=np.float64))
+
+
+def _nearest_cross_pair(src, uf: _UnionFind):
+    """Closest (inside, outside) pair for the component containing vertex 0."""
+    n = src.n
+    roots = np.fromiter((uf.find(i) for i in range(n)), dtype=np.int64, count=n)
+    inside = np.flatnonzero(roots == roots[0])
+    outside = np.flatnonzero(roots != roots[0])
+    if hasattr(src, "coords"):
+        from scipy.spatial import cKDTree
+
+        tree = cKDTree(src.coords[outside])
+        dists, nearest = tree.query(src.coords[inside], k=1)
+        j = int(np.argmin(dists))
+        return int(inside[j]), int(outside[nearest[j]]), float(dists[j])
+    best = (np.inf, -1, -1)
+    for i in inside:
+        row = src.values[i][outside]
+        j = int(np.argmin(row))
+        if row[j] < best[0]:
+            best = (float(row[j]), int(i), int(outside[j]))
+    return best[1], best[2], best[0]
+
+
 def minmax_exhaustive(dist_matrix: np.ndarray, source: int) -> np.ndarray:
     """Minmax distance from source to every vertex by enumerating every
     simple path of the complete graph (no pruning)."""

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+from pava import mstgraph
 from pava.dataset import DissimilarityMatrix, PointSet
 from pava.mstgraph import (
     SpanningTree,
@@ -13,6 +17,7 @@ from pava.neighbors import DensityProfile
 
 from oracles import (
     euclidean_matrix,
+    kruskal_knn_reference,
     kruskal_mst_total,
     min_spanning_total_enumerated,
     minmax_closure,
@@ -36,6 +41,36 @@ def _tie_heavy_tree(rng, n):
     perm = rng.permutation(n)
     parents = [int(rng.integers(0, v)) for v in range(1, n)]
     return SpanningTree(n, perm[parents], perm[1:], rng.integers(0, 3, n - 1).astype(float))
+
+
+def _blob_grid(rng, side, per_blob=40):
+    """side**3 separated 3-D Gaussian blobs in shuffled order, each its own
+    kNN-graph component."""
+    centers = np.stack(np.meshgrid(*[np.arange(side) * 8.0] * 3), -1).reshape(-1, 3)
+    coords = np.repeat(centers, per_blob, axis=0) + rng.normal(0, 0.5, (len(centers) * per_blob, 3))
+    return coords[rng.permutation(len(coords))]
+
+
+@st.composite
+def _degenerate_sources(draw):
+    """Duplicate-heavy, collinear or 1-D points, a pair of points, or a constant matrix."""
+    kind = draw(st.sampled_from(["duplicates", "collinear", "line", "pair", "constant"]))
+    n = draw(st.integers(min_value=2, max_value=40))
+    ints = st.integers(min_value=-5, max_value=5)
+    if kind == "duplicates":
+        sites = np.array(draw(st.lists(st.tuples(ints, ints), min_size=1, max_size=4)), float)
+        return PointSet(sites[draw(st.lists(st.integers(0, len(sites) - 1), min_size=n, max_size=n))])
+    if kind == "collinear":
+        t = np.array(draw(st.lists(ints, min_size=n, max_size=n)), float)
+        return PointSet(np.outer(t, [0.6, 0.8]) + [1.0, -2.0])
+    if kind == "line":
+        return _points_1d(draw(st.lists(ints, min_size=n, max_size=n)))
+    if kind == "pair":
+        xs = st.floats(min_value=-100, max_value=100, allow_nan=False)
+        return PointSet(np.array(draw(st.lists(xs, min_size=4, max_size=4))).reshape(2, 2))
+    c = draw(st.floats(min_value=0, max_value=10))
+    n = min(n, 12)
+    return DissimilarityMatrix(np.full((n, n), c) - c * np.eye(n))
 
 
 def _edge_matrix(tree):
@@ -123,6 +158,71 @@ class TestBuildMst:
             assert np.array_equal(tree.edge_w, ref_w)
             after = src.coords if isinstance(src, PointSet) else src.values
             assert np.array_equal(after, before)
+
+    def test_approximate_edges_match_reference(self):
+        rng = np.random.default_rng(37)
+        blobs = [_blob_grid(rng, 2), _blob_grid(rng, 3)]
+        tie_free = [PointSet(c) for c in blobs]
+        tie_free += [PointSet(rng.normal(size=(n, d))) for d in (1, 2, 3, 8) for n in (2, 3, 150)]
+        tie_free.append(DissimilarityMatrix(euclidean_matrix(blobs[0])))
+        for src in tie_free:
+            tree = build_mst(src, "approximate")
+            ref_u, ref_v, ref_w = kruskal_knn_reference(src)
+            assert np.array_equal(tree.edge_u, ref_u)
+            assert np.array_equal(tree.edge_v, ref_v)
+            assert np.array_equal(tree.edge_w, ref_w)
+        # Equal distances everywhere: each side may pick another tree of the
+        # component graph, but all its minimum spanning trees share one weight
+        # multiset. Groups of more than k_graph + 1 duplicates are components
+        # of their own and give self-pairs.
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1).reshape(-1, 3)
+        sites = rng.normal(size=(5, 2)) * 20
+        tie_heavy = [PointSet(np.vstack([grid, grid + [10.0, 0.0, 0.0]])),
+                     PointSet(np.repeat(sites, 15, axis=0)[rng.permutation(75)]),
+                     _points_1d(np.arange(72) % 6), PointSet(np.ones((7, 2))),
+                     DissimilarityMatrix(np.full((6, 6), 3.0) - 3.0 * np.eye(6))]
+        for src in tie_heavy:
+            tree = build_mst(src, "approximate")
+            assert np.array_equal(np.sort(tree.edge_w), np.sort(kruskal_knn_reference(src)[2]))
+
+    def test_stitch_tie_rule(self):
+        # Singleton components make the stitch a plain Prim from vertex 0.
+        cases = [
+            # 1 and 2 are equally near 0: the smaller id joins first.
+            ([[0, 1, 1], [1, 0, 5], [1, 5, 0]], ([0, 0], [1, 2], [1.0, 1.0])),
+            # 2 is equally near 3 and 1: 3 joined the tree first and is kept.
+            ([[0, 5, 9, 1], [5, 0, 3, 2], [9, 3, 0, 3], [1, 2, 3, 0]],
+             ([0, 3, 3], [3, 1, 2], [1.0, 2.0, 3.0])),
+        ]
+        for values, want in cases:
+            edges = ([], [], [])
+            mstgraph._stitch(DissimilarityMatrix(np.array(values, float)),
+                             mstgraph._UnionFind(len(values)), *edges)
+            assert edges == want
+
+    def test_stitching_indexes_each_component_once(self, monkeypatch):
+        # One kd-tree per joined component (none for the last) indexes at most
+        # N points in all; one kd-tree over every outside vertex per stitch
+        # indexed about N * C / 2.
+        coords = _blob_grid(np.random.default_rng(41), 3)
+        sizes = []
+
+        def counting_tree(data, *args, **kwargs):
+            sizes.append(len(data))
+            return cKDTree(data, *args, **kwargs)
+
+        monkeypatch.setattr(mstgraph, "cKDTree", counting_tree)
+        build_mst(PointSet(coords), "approximate")
+        assert len(sizes) == 26
+        assert sum(sizes) <= len(coords)
+
+    @given(_degenerate_sources())
+    @settings(max_examples=60, deadline=None)
+    def test_approximate_tree_spans_degenerate_input(self, src):
+        approx = build_mst(src, "approximate")  # SpanningTree rejects a non-spanning edge set
+        exact = build_mst(src, "exact")
+        assert len(approx.edge_w) == src.n - 1
+        assert approx.total_weight >= exact.total_weight * (1 - 1e-9)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
