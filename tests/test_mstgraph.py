@@ -174,7 +174,7 @@ class TestBuildMst:
         # Equal distances everywhere: each side may pick another tree of the
         # component graph, but all its minimum spanning trees share one weight
         # multiset. Groups of more than k_graph + 1 duplicates are components
-        # of their own and give self-pairs.
+        # of their own, and their kNN lists can hold self-pairs.
         grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1).reshape(-1, 3)
         sites = rng.normal(size=(5, 2)) * 20
         tie_heavy = [PointSet(np.vstack([grid, grid + [10.0, 0.0, 0.0]])),
