@@ -94,7 +94,8 @@ def build_mst(src, mode: str = "exact") -> SpanningTree:
     compacted arrays. The lightest edge into the tree is taken next, the
     smallest vertex id among equal weights, and an equal-weight update keeps
     the smaller parent id. approximate: Kruskal over the union of kNN edges,
-    then Prim over that forest's components from vertex 0's, updated through
+    whose union-find keeps each component's smallest id as its root, then
+    Prim over that forest's components from vertex 0's, updated through
     one small kd-tree per joined component: the nearest outside vertex (the
     smallest id among equal distances) joins with its whole component, through
     the earliest-joined of equally near tree vertices. Always connected.
@@ -195,41 +196,26 @@ def _candidate_knn_edges(src, k_graph: int):
     return u[keep], v[keep], weights[keep]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[max(ra, rb)] = min(ra, rb)
-        return True
-
-
 def _dendrogram_order(n: int, edge_u, edge_v, edge_w):
     """Kruskal over the tree's own edges in (w, u, v) order, appending the leaf
     list of v's component to u's at each merge; returns (order, gap)."""
-    uf = _UnionFind(n)
+    link = list(range(n))  # union-find links; a root is its component's smallest id
     head, tail = list(range(n)), list(range(n))
     next_leaf, gap_after = [0] * n, [0.0] * n
     us, vs, ws = edge_u.tolist(), edge_v.tolist(), edge_w.tolist()
     for i in np.lexsort((edge_v, edge_u, edge_w)).tolist():
-        a, b = uf.find(us[i]), uf.find(vs[i])
+        a, b = us[i], vs[i]
+        while link[a] != a:
+            link[a] = a = link[link[a]]
+        while link[b] != b:
+            link[b] = b = link[link[b]]
         if a == b:
             raise ValueError("edges do not form a connected tree")
         next_leaf[tail[a]], gap_after[tail[a]] = head[b], ws[i]
-        uf.union(a, b)
-        root = uf.find(a)
+        root = min(a, b)
+        link[a] = link[b] = root
         head[root], tail[root] = head[a], tail[b]
-    order = [head[uf.find(0)]]
+    order = [head[0]]
     for _ in range(n - 1):
         order.append(next_leaf[order[-1]])
     order = np.array(order, dtype=np.int64)
@@ -241,36 +227,50 @@ def _kruskal_knn(src) -> SpanningTree:
     k_graph = max(default_k(n), APPROX_MIN_NEIGHBORS)
     k_graph = min(k_graph, n - 1)
     cand_u, cand_v, cand_w = _candidate_knn_edges(src, k_graph)
-    uf = _UnionFind(n)
+    link = list(range(n))  # union-find links, each to a smaller id or itself
     edge_u, edge_v, edge_w = [], [], []
-    for u, v, w in zip(cand_u, cand_v, cand_w):
-        if uf.union(int(u), int(v)):
-            edge_u.append(int(u))
-            edge_v.append(int(v))
-            edge_w.append(float(w))
-            if len(edge_w) == n - 1:
-                break
+    for u, v, w in zip(cand_u.tolist(), cand_v.tolist(), cand_w.tolist()):
+        a, b = u, v
+        while link[a] != a:
+            link[a] = a = link[link[a]]
+        while link[b] != b:
+            link[b] = b = link[link[b]]
+        if a == b:
+            continue
+        link[max(a, b)] = min(a, b)
+        edge_u.append(u)
+        edge_v.append(v)
+        edge_w.append(w)
+        if len(edge_w) == n - 1:
+            break
     if len(edge_w) < n - 1:
-        _stitch(src, uf, edge_u, edge_v, edge_w)
+        # Every link points to a smaller id, so jumping along them ends at
+        # each vertex's root.
+        comp = np.array(link)
+        while np.any(comp[comp] != comp):
+            comp = comp[comp]
+        _stitch(src, comp, edge_u, edge_v, edge_w)
     return SpanningTree(n, np.array(edge_u), np.array(edge_v), np.array(edge_w), "raw")
 
 
-def _stitch(src, uf: _UnionFind, edge_u, edge_v, edge_w):
-    """Prim over the forest's components from vertex 0's, appending its edges."""
-    roots = np.fromiter((uf.find(i) for i in range(src.n)), dtype=np.int64, count=src.n)
+def _stitch(src, comp, edge_u, edge_v, edge_w):
+    """Prim over the forest's components (vertex labels ``comp``) from vertex
+    0's, appending its edges."""
     # An outside vertex's distance to the tree and its nearest tree vertex.
     key, near = np.full(src.n, np.inf), np.zeros(src.n, dtype=np.int64)
-    outside = roots != roots[0]
+    outside = comp != comp[0]
     new = np.flatnonzero(~outside)
     while outside.any():
         rest = np.flatnonzero(outside)
         if isinstance(src, PointSet):
-            x, part = src.coords, src.coords[new]
+            x, part = src.coords[rest], src.coords[new]
             # Only a vertex whose distance to the component's bounding box is
-            # within its key can come closer; the slack is far above rounding.
-            gap = np.maximum(np.maximum(part.min(axis=0) - x[rest], x[rest] - part.max(axis=0)), 0)
-            rest = rest[np.sqrt((gap * gap).sum(axis=1)) <= key[rest] * (1 + 1e-9)]
-            d, j = cKDTree(part).query(x[rest], k=1)
+            # within its key can come closer (compared squared); the slack is
+            # far above rounding.
+            gap = np.clip(x, part.min(axis=0), part.max(axis=0)) - x
+            reach = (gap * gap).sum(axis=1) <= (key[rest] * (1 + 1e-9)) ** 2
+            rest = rest[reach]
+            d, j = cKDTree(part).query(x[reach], k=1)
         else:
             block = src.values[np.ix_(new, rest)]
             d, j = block.min(axis=0), block.argmin(axis=0)
@@ -280,7 +280,7 @@ def _stitch(src, uf: _UnionFind, edge_u, edge_v, edge_w):
         edge_u.append(int(near[t]))
         edge_v.append(t)
         edge_w.append(float(key[t]))
-        new = np.flatnonzero(roots == roots[t])
+        new = np.flatnonzero(comp == comp[t])
         outside[new] = False
         key[new] = np.inf
 
@@ -321,31 +321,45 @@ def propagate_labels(tree: SpanningTree, labels) -> np.ndarray:
 
     Nearness is summed path weight along the tree (multi-source shortest
     path); distance ties break toward the smaller label value. Labels are
-    positive integers; 0 marks unlabeled. Labeled vertices keep their labels.
+    non-negative integers; 0 marks unlabeled. Labeled vertices keep their
+    labels, and one reached at distance 0 from a smaller label passes that
+    label on.
+
+    A labeled vertex settles at distance 0, so a positive-weight edge between
+    two labeled vertices never decides a label: the search runs only over the
+    edges that touch an unlabeled vertex or weigh zero, from their labeled
+    ends.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if labels.shape != (tree.n,):
         raise ValueError(f"labels length {labels.shape} does not match n={tree.n}")
-    if not np.any(labels > 0):
+    if labels.dtype.kind not in "iu" or np.any(labels < 0):
+        raise ValueError("labels must be non-negative integers")
+    out = labels.astype(np.int64)
+    if not np.any(out > 0):
         raise ValueError("at least one vertex must be labeled")
-    out = labels.copy()
     if np.all(out > 0):
         return out
-    neighbors = [[] for _ in range(tree.n)]
-    for u, v, w in tree.edges():
-        neighbors[u].append((v, w))
-        neighbors[v].append((u, w))
-    settled = np.zeros(tree.n, dtype=bool)
-    heap = [(0.0, int(lab), int(v)) for v, lab in enumerate(labels) if lab > 0]
+    u, v, w = tree.edge_u, tree.edge_v, tree.edge_w
+    searched = (out[u] == 0) | (out[v] == 0) | (w == 0)
+    neighbors = {}
+    for a, b, c in zip(u[searched].tolist(), v[searched].tolist(), w[searched].tolist()):
+        neighbors.setdefault(a, []).append((b, c))
+        neighbors.setdefault(b, []).append((a, c))
+    ends = np.array(list(neighbors))
+    ends = ends[out[ends] > 0]
+    heap = [(0.0, lab, s) for lab, s in zip(out[ends].tolist(), ends.tolist())]
     heapq.heapify(heap)
+    settled = {}
     while heap:
-        d, lab, u = heapq.heappop(heap)
-        if settled[u]:
+        d, lab, a = heapq.heappop(heap)
+        if a in settled:
             continue
-        settled[u] = True
-        if out[u] == 0:  # a zero-weight edge can reach a labeled vertex first
-            out[u] = lab
-        for v, w in neighbors[u]:
-            if not settled[v]:
-                heapq.heappush(heap, (d + w, lab, v))
+        settled[a] = lab
+        for b, c in neighbors[a]:
+            if b not in settled:
+                heapq.heappush(heap, (d + c, lab, b))
+    reached = np.array(list(settled))
+    unlabeled = out[reached] == 0
+    out[reached[unlabeled]] = np.array(list(settled.values()))[unlabeled]
     return out

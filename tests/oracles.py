@@ -7,6 +7,7 @@ checks.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from functools import lru_cache
@@ -372,3 +373,28 @@ def tree_path_lengths(n, edges, source) -> np.ndarray:
                 dist[v] = dist[u] + w
                 stack.append(v)
     return dist
+
+
+def propagate_reference(n, edges, labels) -> np.ndarray:
+    """Label propagation by a multi-source heap search over every tree edge:
+    each vertex settles with the smallest (path sum, label) pair, sums added
+    source-outward; a labeled vertex keeps its own label."""
+    neighbors = [[] for _ in range(n)]
+    for u, v, w in edges:
+        neighbors[u].append((v, w))
+        neighbors[v].append((u, w))
+    out = np.asarray(labels, dtype=np.int64).copy()
+    settled = np.zeros(n, dtype=bool)
+    heap = [(0.0, int(lab), v) for v, lab in enumerate(out) if lab > 0]
+    heapq.heapify(heap)
+    while heap:
+        d, lab, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        if out[u] == 0:
+            out[u] = lab
+        for v, w in neighbors[u]:
+            if not settled[v]:
+                heapq.heappush(heap, (d + w, lab, v))
+    return out

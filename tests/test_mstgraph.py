@@ -23,6 +23,7 @@ from oracles import (
     minmax_closure,
     minmax_exhaustive,
     prim_reference,
+    propagate_reference,
     tree_path_lengths,
 )
 
@@ -197,7 +198,7 @@ class TestBuildMst:
         for values, want in cases:
             edges = ([], [], [])
             mstgraph._stitch(DissimilarityMatrix(np.array(values, float)),
-                             mstgraph._UnionFind(len(values)), *edges)
+                             np.arange(len(values)), *edges)
             assert edges == want
 
     def test_stitching_indexes_each_component_once(self, monkeypatch):
@@ -337,9 +338,22 @@ class TestPropagateLabels:
         labels = propagate_labels(tree, np.array([2, 0, 1]))
         assert labels[1] == 1
 
+    def test_rejects_labels_that_are_not_non_negative_integers(self):
+        for labels in ([1, -1, 0], [-2, 0, 0], [1.7, 0, 0]):
+            with pytest.raises(ValueError, match="non-negative integers"):
+                propagate_labels(_chain([1.0, 1.0]), np.array(labels))
+
     def test_matches_bruteforce_path_scan(self):
         rng = np.random.default_rng(23)
         n = 200
+
+        def random_labels(count):
+            labels = np.zeros(n, dtype=np.int64)
+            labels[rng.choice(n, size=count, replace=False)] = rng.integers(1, 5, size=count)
+            return labels
+
+        # (tree, labels, whether the path scan is an oracle too)
+        cases = []
         # Integer weights make equal path sums common, pinning the smaller-label rule.
         for tie_heavy in (False, True, True, True):
             if tie_heavy:
@@ -348,12 +362,33 @@ class TestPropagateLabels:
                 parents = [int(rng.integers(0, v)) for v in range(1, n)]
                 weights = rng.uniform(0.1, 3.0, n - 1)
                 tree = SpanningTree(n, parents, np.arange(1, n), weights)
-            labels = np.zeros(n, dtype=np.int64)
-            seeds = rng.choice(n, size=12, replace=False)
-            labels[seeds] = rng.integers(1, 5, size=12)
+            cases.append((tree, random_labels(12), True))
+        cases.append((_tie_heavy_tree(rng, n), random_labels(1), True))
+        # Zero-weight chains join differently labeled vertices next to unlabeled ones.
+        cases.append((_chain([0.0, 0.0, 1.0, 0.0, 0.0, 2.0, 0.0]),
+                      np.array([2, 0, 1, 0, 0, 3, 0, 1]), True))
+        tree = _tie_heavy_tree(rng, n)
+        labels = np.zeros(n, dtype=np.int64)
+        zero = np.flatnonzero(tree.edge_w == 0)[::2]
+        labels[tree.edge_u[zero]] = rng.integers(1, 5, size=len(zero))
+        labels[tree.edge_v[zero]] = rng.integers(1, 5, size=len(zero))
+        cases.append((tree, labels, True))
+        # Rounding makes path sums equal (1 + 1e-300 == 1, 1e16 + 1 == 1e16),
+        # which the path scan calls ties; the search settles them where the
+        # sums still differ, so only the heap over every edge is the oracle.
+        for count in (2, 12, 60):
+            perm = rng.permutation(n)
+            parents = [int(rng.integers(0, v)) for v in range(1, n)]
+            weights = np.array([0.0, 1e-300, 1.0, 1e16])[rng.integers(0, 4, n - 1)]
+            cases.append((SpanningTree(n, perm[parents], perm[1:], weights), random_labels(count), False))
+        for tree, labels, scan in cases:
             got = propagate_labels(tree, labels)
-            lengths = np.array([tree_path_lengths(n, tree.edges(), int(s)) for s in seeds])
-            for v in range(n):
+            assert np.array_equal(got, propagate_reference(tree.n, tree.edges(), labels))
+            if not scan:
+                continue
+            seeds = np.flatnonzero(labels)
+            lengths = np.array([tree_path_lengths(tree.n, tree.edges(), int(s)) for s in seeds])
+            for v in range(tree.n):
                 if labels[v] > 0:
                     assert got[v] == labels[v]
                     continue
