@@ -16,7 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import DissimilarityMatrix, PointSet
-from .mstgraph import SpanningTree, adjust_weights, build_mst, minmax_from_center, propagate_labels
+from .mstgraph import (
+    SpanningTree,
+    adjust_weights,
+    approx_k_graph,
+    build_mst,
+    minmax_from_center,
+    propagate_labels,
+)
 from .neighbors import DensityProfile, default_k, k_distance_all
 from .valley import (
     DEFAULT_BINS,
@@ -149,10 +156,15 @@ def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    density = k_distance_all(src, k)
+    if cfg.mst_mode == "approximate":
+        # One neighbour query serves the density and the tree's candidates.
+        density, knn = k_distance_all(src, k, approx_k_graph(n))
+    else:
+        density, knn = k_distance_all(src, k), None
     t1 = time.perf_counter()
     timings["density_s"] = t1 - t0
-    raw_tree = build_mst(src, cfg.mst_mode)
+    raw_tree = build_mst(src, cfg.mst_mode, knn)
+    del knn
     tree = adjust_weights(raw_tree, density) if cfg.use_adjusted else raw_tree
     t2 = time.perf_counter()
     timings["mst_s"] = t2 - t1

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .dataset import PointSet
-from .neighbors import DensityProfile, default_k
+from .neighbors import DensityProfile, default_k, nearest_lists
 
 # Relative floor applied to k-distances during adjustment so exact duplicates
 # (kdist = 0) cannot collapse edges between distinct points to weight zero.
@@ -86,24 +86,31 @@ class MinmaxVector:
     dist: np.ndarray
 
 
-def build_mst(src, mode: str = "exact") -> SpanningTree:
+def build_mst(src, mode: str = "exact", knn=None) -> SpanningTree:
     """Minimum spanning tree of the complete dissimilarity graph.
 
     exact: dense Prim from vertex 0, O(N^2) time and O(N) memory. Each step
     computes distances only to the vertices still outside the tree, held in
     compacted arrays. The lightest edge into the tree is taken next, the
     smallest vertex id among equal weights, and an equal-weight update keeps
-    the smaller parent id. approximate: Kruskal over the union of kNN edges,
-    whose union-find keeps each component's smallest id as its root, then
-    Prim over that forest's components from vertex 0's, updated through
-    one small kd-tree per joined component: the nearest outside vertex (the
-    smallest id among equal distances) joins with its whole component, through
-    the earliest-joined of equally near tree vertices. Always connected.
+    the smaller parent id.
+
+    approximate: the forest Kruskal builds from each object's k_graph =
+    ``approx_k_graph(N)`` nearest neighbours, in (w, u, v) order, each
+    component's root being its smallest id; then Prim over that forest's
+    components from vertex 0's. The forest comes from vectorised Borůvka
+    rounds, whose picks are exactly Kruskal's. In the Prim, the outside
+    component with the nearest point (the smallest id among equal distances)
+    joins next, through the earliest-joined of equally near tree vertices;
+    each joined component's kd-tree is queried only by points of components
+    near its bounding box. ``knn``, the (dists, idx) lists returned by
+    ``k_distance_all(src, k, approx_k_graph(N))``, saves the neighbour query;
+    without it the tree asks its own. Always connected.
     """
     if mode == "exact":
         return _prim_exact(src)
     if mode == "approximate":
-        return _kruskal_knn(src)
+        return _kruskal_knn(src, knn)
     raise ValueError(f"unknown MST mode {mode!r}")
 
 
@@ -171,28 +178,28 @@ def _prim_exact(src) -> SpanningTree:
     return SpanningTree(n, edge_u, edge_v, edge_w, "raw")
 
 
-def _candidate_knn_edges(src, k_graph: int):
-    n = src.n
-    if isinstance(src, PointSet):
-        from .neighbors import build_index
+def approx_k_graph(n: int) -> int:
+    """Neighbour count of the approximate tree's kNN graph: max(ceil(ln n), 10),
+    at most n - 1."""
+    return min(max(default_k(n), APPROX_MIN_NEIGHBORS), n - 1)
 
-        dists, idx = build_index(src).query(src.coords, k_graph + 1)
-        rows = np.repeat(np.arange(n), k_graph)
-        cols = idx[:, 1:].ravel()
-        weights = dists[:, 1:].ravel()
-    else:
-        k_graph = min(k_graph, n - 1)
-        values = src.values.copy()
-        np.fill_diagonal(values, np.inf)
-        cols = np.argpartition(values, k_graph - 1, axis=1)[:, :k_graph].ravel()
-        rows = np.repeat(np.arange(n), k_graph)
-        weights = values[rows, cols]
+
+def _candidate_knn_edges(knn, k_graph: int):
+    """kNN pairs as (min id, max id, distance) in (w, u, v) order, from the
+    first k_graph + 1 columns of ``nearest_lists``' (dists, idx)."""
+    dists, idx = knn
+    n = len(idx)
+    rows = np.repeat(np.arange(n), k_graph)
+    cols = idx[:, 1:k_graph + 1].ravel()
+    weights = dists[:, 1:k_graph + 1].ravel()
     u = np.minimum(rows, cols)
     v = np.maximum(rows, cols)
-    order = np.lexsort((v, u, weights))
-    u, v, weights = u[order], v[order], weights[order]
+    # u * n + v orders pairs as (u, v) does.
+    pair = u * n + v
+    order = np.lexsort((pair, weights))
+    u, v, pair, weights = u[order], v[order], pair[order], weights[order]
     # Drop self-pairs (from duplicates) and the repeat of each mutual pair.
-    keep = (u != v) & np.append(True, (u[1:] != u[:-1]) | (v[1:] != v[:-1]))
+    keep = (u != v) & np.append(True, pair[1:] != pair[:-1])
     return u[keep], v[keep], weights[keep]
 
 
@@ -222,67 +229,143 @@ def _dendrogram_order(n: int, edge_u, edge_v, edge_w):
     return order, np.array(gap_after)[order[:-1]]
 
 
-def _kruskal_knn(src) -> SpanningTree:
+def _kruskal_knn(src, knn=None) -> SpanningTree:
     n = src.n
-    k_graph = max(default_k(n), APPROX_MIN_NEIGHBORS)
-    k_graph = min(k_graph, n - 1)
-    cand_u, cand_v, cand_w = _candidate_knn_edges(src, k_graph)
-    link = list(range(n))  # union-find links, each to a smaller id or itself
-    edge_u, edge_v, edge_w = [], [], []
-    for u, v, w in zip(cand_u.tolist(), cand_v.tolist(), cand_w.tolist()):
-        a, b = u, v
-        while link[a] != a:
-            link[a] = a = link[link[a]]
-        while link[b] != b:
-            link[b] = b = link[link[b]]
-        if a == b:
-            continue
-        link[max(a, b)] = min(a, b)
-        edge_u.append(u)
-        edge_v.append(v)
-        edge_w.append(w)
-        if len(edge_w) == n - 1:
+    k_graph = approx_k_graph(n)
+    if knn is None:
+        knn = nearest_lists(src, k_graph + 1)
+    elif knn[1].shape[0] != n or knn[1].shape[1] <= k_graph:
+        raise ValueError(f"expected neighbour lists of shape ({n}, >= {k_graph + 1})")
+    cand_u, cand_v, cand_w = _candidate_knn_edges(knn, k_graph)
+    del knn
+    picked, comp = _knn_forest(n, cand_u, cand_v)
+    edge_u, edge_v, edge_w = cand_u[picked], cand_v[picked], cand_w[picked]
+    if len(picked) < n - 1:
+        more = [], [], []
+        _stitch(src, comp, *more)
+        edge_u, edge_v, edge_w = (np.append(a, b) for a, b in zip((edge_u, edge_v, edge_w), more))
+    return SpanningTree(n, edge_u, edge_v, edge_w, "raw")
+
+
+def _knn_forest(n: int, cand_u, cand_v):
+    """Kruskal's forest over candidate edges already in Kruskal order, by
+    Borůvka's rounds: returns the picked candidates' positions, ascending, and
+    each vertex's component label, the component's smallest id.
+
+    An edge's key is its position, so keys are distinct and the minimum
+    spanning forest under them, which Borůvka finds, is the one Kruskal
+    builds. Each round every component picks its lightest outgoing edge; the
+    picks form trees whose only cycles are mutual picks, broken at the smaller
+    component, and pointer jumping finds each tree's root.
+    """
+    m = len(cand_u)
+    comp = np.arange(n)
+    picked = np.zeros(m, dtype=bool)
+    live = np.arange(m)
+    while True:
+        a, b = comp[cand_u[live]], comp[cand_v[live]]
+        crossing = a != b
+        live, a, b = live[crossing], a[crossing], b[crossing]
+        if not live.size:
             break
-    if len(edge_w) < n - 1:
-        # Every link points to a smaller id, so jumping along them ends at
-        # each vertex's root.
-        comp = np.array(link)
-        while np.any(comp[comp] != comp):
-            comp = comp[comp]
-        _stitch(src, comp, edge_u, edge_v, edge_w)
-    return SpanningTree(n, np.array(edge_u), np.array(edge_v), np.array(edge_w), "raw")
+        # Lightest outgoing edge of every component, at its label.
+        lightest = np.full(n, m)
+        np.minimum.at(lightest, a, live)
+        np.minimum.at(lightest, b, live)
+        roots = np.flatnonzero(lightest < m)
+        edge = lightest[roots]
+        picked[edge] = True
+        ends_a, ends_b = comp[cand_u[edge]], comp[cand_v[edge]]
+        hook = comp.copy()
+        hook[roots] = np.where(ends_a == roots, ends_b, ends_a)
+        # A mutual pick is the tree's only cycle: its smaller end is the root.
+        cut = roots[(hook[hook[roots]] == roots) & (roots < hook[roots])]
+        hook[cut] = cut
+        while True:
+            jumped = hook[hook]
+            if np.array_equal(jumped, hook):
+                break
+            hook = jumped
+        # Relabel each merged tree by its smallest member component.
+        smallest = np.arange(n)
+        np.minimum.at(smallest, hook[roots], roots)
+        comp = smallest[hook[comp]]
+    return np.flatnonzero(picked), comp
 
 
 def _stitch(src, comp, edge_u, edge_v, edge_w):
     """Prim over the forest's components (vertex labels ``comp``) from vertex
-    0's, appending its edges."""
-    # An outside vertex's distance to the tree and its nearest tree vertex.
-    key, near = np.full(src.n, np.inf), np.zeros(src.n, dtype=np.int64)
-    outside = comp != comp[0]
-    new = np.flatnonzero(~outside)
-    while outside.any():
+    0's, appending its edges.
+
+    Each outside component keeps its best key (distance to the tree), the
+    smallest of its ids at that key and the tree vertex it attaches to, the
+    earliest-joined among equally near ones. When a component joins, one
+    kd-tree over its points serves only the outside components whose bounding
+    box lies within their best key of its box. Of those, each first queries
+    its point nearest the box; that distance bounds the component's least, so
+    only its points no farther from the box than the bound (and than the best
+    key) are queried next. Any point farther can neither lower nor tie it.
+    """
+    points = isinstance(src, PointSet)
+    members = np.argsort(comp, kind="stable")  # grouped by component, ids ascending
+    first = np.flatnonzero(np.append(True, comp[members][1:] != comp[members][:-1]))
+    sizes = np.diff(np.append(first, len(members)))
+    which = np.empty(len(members), dtype=np.int64)
+    which[members] = np.repeat(np.arange(len(first)), sizes)
+    if points:
+        grouped = src.coords[members]
+        lo, hi = np.minimum.reduceat(grouped, first), np.maximum.reduceat(grouped, first)
+    best = np.full(len(first), np.inf)
+    best_vertex = np.zeros(len(first), dtype=np.int64)
+    best_near = np.zeros(len(first), dtype=np.int64)
+    outside = np.ones(len(first), dtype=bool)
+    joined = int(which[0])
+    slack = 1 + 1e-9  # far above the rounding of squared box distances
+    for _ in range(len(first) - 1):
+        outside[joined] = False
+        part = members[first[joined]:first[joined] + sizes[joined]]
         rest = np.flatnonzero(outside)
-        if isinstance(src, PointSet):
-            x, part = src.coords[rest], src.coords[new]
-            # Only a vertex whose distance to the component's bounding box is
-            # within its key can come closer (compared squared); the slack is
-            # far above rounding.
-            gap = np.clip(x, part.min(axis=0), part.max(axis=0)) - x
-            reach = (gap * gap).sum(axis=1) <= (key[rest] * (1 + 1e-9)) ** 2
-            rest = rest[reach]
-            d, j = cKDTree(part).query(x[reach], k=1)
-        else:
-            block = src.values[np.ix_(new, rest)]
-            d, j = block.min(axis=0), block.argmin(axis=0)
-        closer = d < key[rest]
-        key[rest[closer]], near[rest[closer]] = d[closer], new[j[closer]]
-        t = int(np.argmin(key))
-        edge_u.append(int(near[t]))
-        edge_v.append(t)
-        edge_w.append(float(key[t]))
-        new = np.flatnonzero(comp == comp[t])
-        outside[new] = False
-        key[new] = np.inf
+        if points:
+            tree = cKDTree(src.coords[part])
+            gap = np.maximum(np.maximum(lo[rest] - hi[joined], lo[joined] - hi[rest]), 0)
+            rest = rest[(gap * gap).sum(axis=1) <= (best[rest] * slack) ** 2]
+        if rest.size:
+            # The points of those components, one segment per component.
+            lengths = sizes[rest]
+            seg = np.cumsum(lengths) - lengths
+            ids = members[np.arange(lengths.sum()) + np.repeat(first[rest] - seg, lengths)]
+            if points:
+                x = src.coords[ids]
+                gap = np.clip(x, lo[joined], hi[joined]) - x
+                box = (gap * gap).sum(axis=1)
+                d, j = np.full(len(ids), np.inf), np.zeros(len(ids), dtype=np.int64)
+                _, probe = _first_min(box, seg, lengths)
+                d[probe], j[probe] = tree.query(x[probe], k=1)
+                bound = np.minimum(best[rest], d[probe]) * slack
+                more = box <= np.repeat(bound * bound, lengths)
+                more[probe] = False
+                d[more], j[more] = tree.query(x[more], k=1)
+            else:
+                block = src.values[np.ix_(part, ids)]
+                d, j = block.min(axis=0), block.argmin(axis=0)
+            low, at = _first_min(d, seg, lengths)
+            better = (low < best[rest]) | ((low == best[rest]) & (ids[at] < best_vertex[rest]))
+            c, at = rest[better], at[better]
+            best[c], best_vertex[c], best_near[c] = low[better], ids[at], part[j[at]]
+        rest = np.flatnonzero(outside)
+        tied = rest[best[rest] == best[rest].min()]
+        joined = int(tied[np.argmin(best_vertex[tied])])
+        edge_u.append(int(best_near[joined]))
+        edge_v.append(int(best_vertex[joined]))
+        edge_w.append(float(best[joined]))
+
+
+def _first_min(values, seg, lengths):
+    """Per segment (starts ``seg``): the least value and the position of its
+    first occurrence."""
+    low = np.minimum.reduceat(values, seg)
+    hits = np.flatnonzero(values == np.repeat(low, lengths))
+    return low, hits[np.searchsorted(hits, seg)]
 
 
 def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:

@@ -63,27 +63,54 @@ def default_k(n: int) -> int:
     return max(1, min(math.ceil(math.log(n)), n - 1))
 
 
-def k_distance_all(src, k: int) -> DensityProfile:
+def nearest_lists(src, count: int):
+    """Each object's ``count`` nearest objects, nearest first, as (dists, idx)
+    arrays of shape (N, count); 1 <= count <= N.
+
+    Column 0 is the object itself at distance 0 (in point mode an exact
+    duplicate may take its place), so column k holds the k-distance. Point mode
+    asks one kd-tree query; matrix mode partitions each off-self row around
+    its (count - 1)-th smallest entry and sorts the part kept.
+    """
+    n = src.n
+    if isinstance(src, PointSet):
+        return build_index(src).query(src.coords, count)
+    values = src.values.copy()
+    np.fill_diagonal(values, np.inf)
+    others = np.argpartition(values, count - 2, axis=1)[:, :count - 1]
+    near = np.take_along_axis(values, others, axis=1)
+    by_distance = np.argsort(near, axis=1, kind="stable")
+    self_column = np.arange(n).reshape(-1, 1)
+    idx = np.hstack([self_column, np.take_along_axis(others, by_distance, axis=1)])
+    dists = np.hstack([np.zeros((n, 1)), np.take_along_axis(near, by_distance, axis=1)])
+    return dists, idx
+
+
+def k_distance_all(src, k: int, k_graph: int | None = None):
     """k-distance of every object in a PointSet or DissimilarityMatrix.
 
     Ties are handled by taking the k-th smallest off-self distance, which is
     the unique value with at least k others no farther and at most k-1 strictly
     nearer.
+
+    With ``k_graph`` (the approximate tree's neighbour count), the one query
+    asks for max(k, k_graph) + 1 neighbours and the call returns
+    ``(profile, lists)``, ``lists`` being ``nearest_lists``' (dists, idx) for
+    the tree's candidate edges; the k-distances are the same values.
     """
     n = src.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be < N (k={k}, N={n})")
-    if isinstance(src, PointSet):
-        index = build_index(src)
-        # Self is always among the k+1 nearest (distance 0), so the (k+1)-th
-        # smallest with self equals the k-th smallest without it.
-        dists, _ = index.query(src.coords, k + 1)
-        kdist = np.ascontiguousarray(dists[:, k])
-    elif isinstance(src, DissimilarityMatrix):
+    if not isinstance(src, (PointSet, DissimilarityMatrix)):
+        raise TypeError(f"unsupported source type {type(src).__name__}")
+    if k_graph is None and isinstance(src, DissimilarityMatrix):
+        # No neighbour ids are wanted, so partition values in place.
         values = src.values.copy()
         np.fill_diagonal(values, np.inf)
         values.partition(k - 1, axis=1)
-        kdist = np.ascontiguousarray(values[:, k - 1])
-    else:
-        raise TypeError(f"unsupported source type {type(src).__name__}")
-    return DensityProfile(kdist, k)
+        return DensityProfile(np.ascontiguousarray(values[:, k - 1]), k)
+    lists = nearest_lists(src, max(k, k_graph or 0) + 1)
+    # Self is always among the k+1 nearest (distance 0), so the (k+1)-th
+    # smallest with self equals the k-th smallest without it.
+    profile = DensityProfile(np.ascontiguousarray(lists[0][:, k]), k)
+    return profile if k_graph is None else (profile, lists)

@@ -23,7 +23,8 @@ ENGULF_MARGIN = 1e-9
 
 
 class DegenerateHistogramError(ValueError):
-    """All retained distances are identical; no histogram can be formed."""
+    """All retained distances are identical, or span too narrow a range for
+    equal-width bins; no histogram can be formed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,6 +73,9 @@ def build_histogram(dists, bins: int = DEFAULT_BINS) -> DistanceHistogram:
     hi = float(dists.max())
     if lo == hi:
         raise DegenerateHistogramError("all distances identical")
+    # A range only a few subnormals wide cannot hold `bins` distinct edges.
+    if np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0):
+        raise DegenerateHistogramError(f"distance range too narrow for {bins} bins")
     raw, edges = np.histogram(dists, bins=bins, range=(lo, hi))
     centers = (edges[:-1] + edges[1:]) / 2.0
     return DistanceHistogram(edges, centers, raw, raw.astype(np.int64) - 1)

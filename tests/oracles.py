@@ -171,6 +171,20 @@ def _knn_candidates(src, k_graph: int):
     return u[order], v[order], weights[order]
 
 
+def knn_candidate_list(src, k_graph: int):
+    """Every kNN pair once, self-pairs dropped, in (w, u, v) order."""
+    seen = set()
+    edge_u, edge_v, edge_w = [], [], []
+    for u, v, w in zip(*(a.tolist() for a in _knn_candidates(src, k_graph))):
+        if u != v and (u, v) not in seen:
+            seen.add((u, v))
+            edge_u.append(u)
+            edge_v.append(v)
+            edge_w.append(w)
+    return (np.array(edge_u, dtype=np.int64), np.array(edge_v, dtype=np.int64),
+            np.array(edge_w, dtype=np.float64))
+
+
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -188,6 +202,22 @@ class _UnionFind:
             return False
         self.parent[max(ra, rb)] = min(ra, rb)
         return True
+
+
+def kruskal_forest_reference(n: int, cand_u, cand_v, cand_w):
+    """Kruskal's forest over candidate edges taken in the given order, by a
+    union-find whose roots are each component's smallest id; returns the
+    picked edges as arrays (u, v, w) and every vertex's root."""
+    uf = _UnionFind(n)
+    edge_u, edge_v, edge_w = [], [], []
+    for u, v, w in zip(cand_u.tolist(), cand_v.tolist(), cand_w.tolist()):
+        if uf.union(u, v):
+            edge_u.append(u)
+            edge_v.append(v)
+            edge_w.append(w)
+    roots = np.array([uf.find(i) for i in range(n)], dtype=np.int64)
+    return (np.array(edge_u, dtype=np.int64), np.array(edge_v, dtype=np.int64),
+            np.array(edge_w, dtype=np.float64), roots)
 
 
 def kruskal_knn_reference(src):

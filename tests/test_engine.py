@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import pava.engine as engine_mod
 from pava.dataset import DissimilarityMatrix, PointSet, generate_synthetic
 from pava.engine import ClusterModel, PavaConfig, extract_cluster, run, select_center
 from pava.metrics import adjusted_rand_index
-from pava.mstgraph import adjust_weights, build_mst
-from pava.neighbors import DensityProfile, default_k, k_distance_all
+from pava.mstgraph import adjust_weights, approx_k_graph, build_mst
+from pava.neighbors import DensityProfile, SpatialIndex, default_k, k_distance_all
 
-from oracles import euclidean_matrix
+from oracles import euclidean_matrix, kruskal_knn_reference
+from test_mstgraph import _degenerate_sources
 
 
 def _profile(kdist):
@@ -205,6 +207,40 @@ class TestRun:
                                   adjust_weights(model.raw_tree, model.density).edge_w)
         else:
             assert model.tree is model.raw_tree
+
+    @pytest.mark.parametrize("k", [4, 10, 13])
+    def test_approximate_run_queries_neighbours_once(self, monkeypatch, k):
+        # k below, equal to and above the kNN graph's k_graph (10 at N=400).
+        points, _ = generate_synthetic("blobs", 400, seed=12)
+        assert approx_k_graph(points.n) == 10
+        counts = []
+        query = SpatialIndex.query
+
+        def counting_query(self, x, count):
+            counts.append(count)
+            return query(self, x, count)
+
+        monkeypatch.setattr(SpatialIndex, "query", counting_query)
+        model = run(points, PavaConfig(k=k, mst_mode="approximate"))
+        monkeypatch.undo()
+        assert counts == [max(k, 10) + 1]
+        assert np.array_equal(model.density.kdist, k_distance_all(points, k).kdist)
+        ref_u, ref_v, ref_w = kruskal_knn_reference(points)
+        assert np.array_equal(model.raw_tree.edge_u, ref_u)
+        assert np.array_equal(model.raw_tree.edge_v, ref_v)
+        assert np.array_equal(model.raw_tree.edge_w, ref_w)
+        assert set(vars(model.density)) == {"kdist", "k"}
+
+    @given(_degenerate_sources())
+    @settings(max_examples=60, deadline=None)
+    @example(DissimilarityMatrix(np.array([[0.0, 5e-324], [5e-324, 0.0]])))
+    def test_degenerate_input_clusters(self, src):
+        # Every such input is valid, so each configuration must cluster it.
+        for mst_mode in ("exact", "approximate"):
+            for use_adjusted in (True, False):
+                model = run(src, PavaConfig(mst_mode=mst_mode, use_adjusted=use_adjusted))
+                assert len(model.labels) == src.n
+                assert np.array_equal(np.unique(model.labels), np.arange(1, model.m + 1))
 
 
 class TestPavaConfig:

@@ -13,10 +13,12 @@ from pava.mstgraph import (
     minmax_from_center,
     propagate_labels,
 )
-from pava.neighbors import DensityProfile
+from pava.neighbors import DensityProfile, nearest_lists
 
 from oracles import (
     euclidean_matrix,
+    knn_candidate_list,
+    kruskal_forest_reference,
     kruskal_knn_reference,
     kruskal_mst_total,
     min_spanning_total_enumerated,
@@ -201,6 +203,28 @@ class TestBuildMst:
                              np.arange(len(values)), *edges)
             assert edges == want
 
+    def test_stitch_tie_rule_across_components(self):
+        cases = [
+            # Component {1, 2} is 2 from the tree at 2 (through 0); once 3
+            # joins, 1 is 2 from it too, and the smaller id 1 joins for it.
+            ([[0, 5, 2, 1], [5, 0, 4, 2], [2, 4, 0, 9], [1, 2, 9, 0]], [0, 1, 1, 3],
+             ([0, 3], [3, 1], [1.0, 2.0])),
+            # Components {1, 3} and {2} are both 1 from 0: {2} holds the
+            # smaller id at that distance and joins first.
+            ([[0, 5, 1, 1], [5, 0, 9, 4], [1, 9, 0, 9], [1, 4, 9, 0]], [0, 1, 2, 1],
+             ([0, 0], [2, 3], [1.0, 1.0])),
+        ]
+        for values, comp, want in cases:
+            edges = ([], [], [])
+            mstgraph._stitch(DissimilarityMatrix(np.array(values, float)), np.array(comp), *edges)
+            assert edges == want
+        # Points: 2 and 3 are both sqrt(10) from the tree {0, 1}, though 2
+        # lies farther from its bounding box; the smaller id 2 joins.
+        coords = np.array([[0.0, 0.0], [0.0, 2.0], [1.0, -3.0], [3.0, 1.0]])
+        edges = ([], [], [])
+        mstgraph._stitch(PointSet(coords), np.array([0, 0, 2, 2]), *edges)
+        assert edges == ([0], [2], [np.sqrt(10.0)])
+
     def test_stitching_indexes_each_component_once(self, monkeypatch):
         # One kd-tree per joined component (none for the last) indexes at most
         # N points in all; one kd-tree over every outside vertex per stitch
@@ -216,6 +240,54 @@ class TestBuildMst:
         build_mst(PointSet(coords), "approximate")
         assert len(sizes) == 26
         assert sum(sizes) <= len(coords)
+
+    def test_stitch_queries_only_points_near_the_joined_component(self, monkeypatch):
+        # Each join queries, per near component, its point nearest the joined
+        # component's box, then only its points within that distance of the
+        # box: fewer than N points in all. Updating every outside point's key
+        # on each join queried 4570 points here (N = 1080).
+        coords = _blob_grid(np.random.default_rng(41), 3)
+        queried = []
+
+        class CountingTree(cKDTree):
+            def query(self, x, *args, **kwargs):
+                queried.append(len(x))
+                return super().query(x, *args, **kwargs)
+
+        monkeypatch.setattr(mstgraph, "cKDTree", CountingTree)
+        tree = build_mst(PointSet(coords), "approximate")
+        assert np.array_equal(tree.edge_w, kruskal_knn_reference(PointSet(coords))[2])
+        assert sum(queried) <= len(coords)
+
+    def test_forest_matches_kruskal_reference(self):
+        rng = np.random.default_rng(43)
+        grid = np.stack(np.meshgrid(*[np.arange(5.0)] * 3), -1).reshape(-1, 3)
+        tie_free = [_blob_grid(rng, 3), rng.normal(size=(300, 2)), rng.normal(size=(40, 1))]
+        tie_heavy = [np.repeat(rng.normal(size=(6, 2)), 30, axis=0)[rng.permutation(180)],
+                     grid[rng.permutation(len(grid))], np.vstack([grid, grid + 7.0]),
+                     (np.arange(90.0) % 9).reshape(-1, 1), np.ones((12, 3))]
+        lists = []
+        for coords in tie_free + tie_heavy:
+            src = PointSet(coords)
+            k_graph = mstgraph.approx_k_graph(src.n)
+            cand = mstgraph._candidate_knn_edges(nearest_lists(src, k_graph + 1), k_graph)
+            for got, want in zip(cand, knn_candidate_list(src, k_graph)):
+                assert np.array_equal(got, want)
+            lists.append((src.n, cand))
+        # Random pair lists with integer weights, in the library's (w, u, v) order.
+        for n in (2, 9, 60, 400):
+            pairs = np.sort(rng.integers(0, n, size=(3 * n, 2)), axis=1)
+            pairs = np.unique(pairs[pairs[:, 0] < pairs[:, 1]], axis=0)
+            w = rng.integers(0, 4, len(pairs)).astype(float)
+            order = np.lexsort((pairs[:, 1], pairs[:, 0], w))
+            lists.append((n, (pairs[order, 0], pairs[order, 1], w[order])))
+        for n, (cand_u, cand_v, cand_w) in lists:
+            picked, comp = mstgraph._knn_forest(n, cand_u, cand_v)
+            ref_u, ref_v, ref_w, ref_comp = kruskal_forest_reference(n, cand_u, cand_v, cand_w)
+            assert np.array_equal(cand_u[picked], ref_u)
+            assert np.array_equal(cand_v[picked], ref_v)
+            assert np.array_equal(cand_w[picked], ref_w)
+            assert np.array_equal(comp, ref_comp)
 
     @given(_degenerate_sources())
     @settings(max_examples=60, deadline=None)

@@ -90,6 +90,14 @@ class TestBuildHistogram:
         with pytest.raises(DegenerateHistogramError):
             build_histogram(np.array([2.0, 2.0, 2.0]), bins=10)
 
+    def test_range_too_narrow_for_the_bins(self):
+        # [0, 5e-324] spans one subnormal step: no two of 201 edges differ.
+        with pytest.raises(DegenerateHistogramError):
+            build_histogram(np.array([0.0, 5e-324]), bins=200)
+        # 1e-320 is about 2000 subnormal steps, enough for 3 bins.
+        h = build_histogram(np.array([0.0, 1e-320]), bins=3)
+        assert h.raw_freq.tolist() == [1, 0, 1]
+
     def test_too_few_bins(self):
         with pytest.raises(ValueError, match="bins"):
             build_histogram(np.arange(5.0), bins=1)
