@@ -259,7 +259,7 @@ class TestBuildMst:
         assert np.array_equal(tree.edge_w, kruskal_knn_reference(PointSet(coords))[2])
         assert sum(queried) <= len(coords)
 
-    def test_forest_matches_kruskal_reference(self):
+    def test_candidate_list_and_forest_match_references(self):
         rng = np.random.default_rng(43)
         grid = np.stack(np.meshgrid(*[np.arange(5.0)] * 3), -1).reshape(-1, 3)
         tie_free = [_blob_grid(rng, 3), rng.normal(size=(300, 2)), rng.normal(size=(40, 1))]
