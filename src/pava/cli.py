@@ -203,7 +203,7 @@ def _report_dict(source_path: Path, matrix: bool, src, cfg: PavaConfig,
 
 
 def _emit_artifacts(args, src, cfg: PavaConfig, model: ClusterModel) -> None:
-    if args.emit_kdist:  # recomputed, like the trees below: see ROADMAP item 2
+    if args.emit_kdist:  # recomputed, like the trees below: see ROADMAP item 4
         np.savetxt(args.emit_kdist, k_distance_all(src, model.density.k).kdist.reshape(-1, 1), fmt="%.17g")
     if args.emit_mst:
         from .mstgraph import adjust_weights, build_mst
@@ -276,17 +276,21 @@ def cmd_sweep(args) -> int:
         raise UsageError("empty k list")
     if args.repeats < 1:
         raise UsageError("repeats must be >= 1")
+    try:
+        configs = [PavaConfig(k=k, use_adjusted=not args.no_adjust, mst_mode=args.mst) for k in k_values]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     _check_threads()
     input_path = _require_file(args.input)
     src = _load_source(input_path, args.matrix)
     truth = _load_truth(args.labels_true, src.n) if args.labels_true else None
 
     lines = ["dataset,k,repeat,seed,RI,ARI,FS,M,runtime_ms,density_ms,mst_ms,extract_ms,propagate_ms"]
-    for k in k_values:
+    for cfg in configs:
+        k = cfg.k
         if k >= src.n:
             raise UsageError(f"k must be < N (k={k}, N={src.n})")
         for rep in range(args.repeats):
-            cfg = PavaConfig(k=k, use_adjusted=not args.no_adjust, mst_mode=args.mst)
             start = time.perf_counter()
             model = run(src, cfg)
             runtime_ms = (time.perf_counter() - start) * 1000.0

@@ -6,6 +6,13 @@ radius off the first valley of the distance histogram, and claims every
 unlabeled object strictly inside that radius. Rounds repeat until nearly
 everything is labeled; the remainder is assigned along the tree. The number
 of clusters is never an input: it is however many rounds the data demands.
+
+A round runs in the tree's dendrogram position space: the center's distances
+are two ascending runs outward from its position, the percentile and the
+histogram are read off those runs, and the claimed objects fill one interval
+of positions. The centers come off one stable k-distance order shared by all
+rounds, and a running mask tracks what is labeled. Apart from the two scans,
+only a degenerate round, which claims everything left, does O(N) work.
 """
 
 from __future__ import annotations
@@ -96,24 +103,34 @@ class ClusterModel:
     tree: SpanningTree = field(repr=False)
 
 
-def select_center(density: DensityProfile, labeled: np.ndarray) -> int:
-    """Unlabeled object with the minimum k-distance; ties pick the smallest index."""
-    if labeled.all():
+def select_center(density: DensityProfile, labeled: np.ndarray, queue: list | None = None) -> int:
+    """Unlabeled object with the minimum k-distance; ties pick the smallest index.
+
+    ``queue`` lists the ids in descending stable k-distance order, so its end
+    is the next candidate; labeled ids are popped off that end. A run shares
+    one queue across its rounds, which makes every round's pick O(1)
+    amortized instead of a scan over all N. Without one, a fresh queue is
+    sorted for the call.
+    """
+    if queue is None:
+        queue = np.argsort(density.kdist, kind="stable")[::-1].tolist()
+    while queue and labeled[queue[-1]]:
+        queue.pop()
+    if not queue:
         raise ValueError("no unlabeled objects remain")
-    masked = np.where(labeled, np.inf, density.kdist)
-    return int(np.argmin(masked))
+    return queue[-1]
 
 
 def _round_radius(tree: SpanningTree, center: int, cfg: PavaConfig):
     mm = minmax_from_center(tree, center)
-    retained = cap_percentile(mm.dist, cfg.trim_percentile)
+    retained = cap_percentile(mm.runs, cfg.trim_percentile)
     try:
         hist = smooth_profile(build_histogram(retained, cfg.bins), cfg.smooth_window)
         radius = first_valley_radius(hist)
         degenerate = False
     except DegenerateHistogramError:
         hist = None
-        radius = float(mm.dist.max()) * (1.0 + 1e-9)
+        radius = max(float(run[-1]) for run in mm.runs if run.size) * (1.0 + 1e-9)
         degenerate = True
     return mm, radius, hist, degenerate
 
@@ -122,18 +139,22 @@ def _claim(tree: SpanningTree, center: int, cfg: PavaConfig, labeled: np.ndarray
     """One round's claimed objects, radius and histogram (None if degenerate)."""
     mm, radius, hist, degenerate = _round_radius(tree, center, cfg)
     if degenerate:
-        claimed = np.flatnonzero(~labeled)
-    else:
-        claimed = np.flatnonzero(~labeled & (mm.dist < radius))
-    return claimed, radius, hist
+        return np.flatnonzero(~labeled), radius, hist
+    # Both runs ascend, so the objects inside the radius fill one interval of
+    # positions around the center's.
+    first = mm.position - int(np.searchsorted(mm.left, radius))
+    last = mm.position + int(np.searchsorted(mm.right, radius))
+    inside = tree.order[first:last + 1]
+    return np.sort(inside[~labeled[inside]]), radius, hist
 
 
 def extract_cluster(tree: SpanningTree, center: int, cfg: PavaConfig, labeled: np.ndarray):
     """Claim every unlabeled object whose minmax distance to center is < radius.
 
     The radius comes from the valley pipeline over the distances to all N
-    objects. A degenerate histogram (all distances equal) claims everything
-    still unlabeled. Returns (claimed indices, radius).
+    objects, the center's own 0 included. A degenerate histogram (all
+    distances equal) claims everything still unlabeled. Returns (claimed
+    indices, radius).
     """
     if labeled[center]:
         raise ValueError(f"center {center} is already labeled")
@@ -170,20 +191,23 @@ def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
     timings["mst_s"] = t2 - t1
 
     labels = np.zeros(n, dtype=np.int64)
+    labeled = np.zeros(n, dtype=bool)
+    labeled_count = 0
+    queue = np.argsort(density.kdist, kind="stable")[::-1].tolist()
     rounds: list[ClusterRound] = []
     histograms: list[DistanceHistogram] = []
     target_labeled = (1.0 - cfg.stop_fraction) * n
     while True:
         round_start = time.perf_counter()
-        labeled = labels > 0
-        center = select_center(density, labeled)
+        center = select_center(density, labeled, queue)
         claimed, radius, hist = _claim(tree, center, cfg, labeled)
         m = len(rounds) + 1
         labels[claimed] = m
+        labeled[claimed] = True
+        labeled_count += claimed.size
         rounds.append(ClusterRound(center, radius, claimed, time.perf_counter() - round_start))
         if hist is not None:
             histograms.append(hist)
-        labeled_count = int(np.count_nonzero(labels))
         if labeled_count >= target_labeled or n - labeled_count < cfg.min_unlabeled:
             break
     t3 = time.perf_counter()

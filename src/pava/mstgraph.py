@@ -78,12 +78,34 @@ class SpanningTree:
         return list(zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MinmaxVector:
-    """Minmax distances from a single source vertex to every vertex."""
+    """Minmax distances from a single source vertex, in its tree's dendrogram
+    position space.
+
+    The source sits at ``position``. ``left[i]`` is the distance to the vertex
+    at position ``position - 1 - i`` and ``right[j]`` the distance to the one at
+    ``position + 1 + j``; both runs ascend. ``rank`` is the tree's, for ``dist``.
+    """
 
     source: int
-    dist: np.ndarray
+    position: int
+    left: np.ndarray
+    right: np.ndarray
+    rank: np.ndarray
+
+    @property
+    def runs(self) -> tuple:
+        """Every distance as three ascending runs: the source's own 0, left, right."""
+        return (np.zeros(1), self.left, self.right)
+
+    @property
+    def dist(self) -> np.ndarray:
+        """Distances by vertex id; O(N), built anew on each access."""
+        by_position = np.zeros(len(self.rank))
+        by_position[:self.position] = self.left[::-1]
+        by_position[self.position + 1:] = self.right
+        return by_position[self.rank]
 
 
 def build_mst(src, mode: str = "exact", knn=None) -> SpanningTree:
@@ -186,7 +208,8 @@ def approx_k_graph(n: int) -> int:
 
 def _candidate_knn_edges(knn, k_graph: int):
     """kNN pairs as (min id, max id, distance) in (w, u, v) order, from the
-    first k_graph + 1 columns of ``nearest_lists``' (dists, idx)."""
+    first k_graph + 1 columns of ``nearest_lists``' (dists, idx). Column 0 is
+    the row itself and no later column is, so every row gives k_graph pairs."""
     dists, idx = knn
     n = len(idx)
     rows = np.repeat(np.arange(n), k_graph)
@@ -198,8 +221,8 @@ def _candidate_knn_edges(knn, k_graph: int):
     pair = u * n + v
     order = np.lexsort((pair, weights))
     u, v, pair, weights = u[order], v[order], pair[order], weights[order]
-    # Drop self-pairs (from duplicates) and the repeat of each mutual pair.
-    keep = (u != v) & np.append(True, pair[1:] != pair[:-1])
+    # Drop the repeat of each mutual pair.
+    keep = np.append(True, pair[1:] != pair[:-1])
     return u[keep], v[keep], weights[keep]
 
 
@@ -388,15 +411,18 @@ def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:
 
 def minmax_from_center(tree: SpanningTree, center: int) -> MinmaxVector:
     """Minmax distance from center to every vertex: the largest gap between
-    their positions in the dendrogram order, found by two prefix-maximum scans.
+    their positions in the dendrogram order.
+
+    Two prefix-maximum scans outward from the center's position give the
+    distances as two ascending runs, one per side; nothing is gathered by id
+    unless the caller reads ``dist``.
     """
     if not 0 <= center < tree.n:
         raise ValueError(f"center {center} out of range [0, {tree.n})")
     r = int(tree.rank[center])
-    by_position = np.zeros(tree.n)
-    by_position[r + 1:] = np.maximum.accumulate(tree.gap[r:])
-    by_position[:r] = np.maximum.accumulate(tree.gap[:r][::-1])[::-1]
-    return MinmaxVector(center, by_position[tree.rank])
+    left = np.maximum.accumulate(tree.gap[:r][::-1])
+    right = np.maximum.accumulate(tree.gap[r:])
+    return MinmaxVector(center, r, left, right, tree.rank)
 
 
 def propagate_labels(tree: SpanningTree, labels) -> np.ndarray:

@@ -65,16 +65,28 @@ def default_k(n: int) -> int:
 
 def nearest_lists(src, count: int):
     """Each object's ``count`` nearest objects, nearest first, as (dists, idx)
-    arrays of shape (N, count); 1 <= count <= N.
+    arrays of shape (N, count); 2 <= count <= N.
 
-    Column 0 is the object itself at distance 0 (in point mode an exact
-    duplicate may take its place), so column k holds the k-distance. Point mode
-    asks one kd-tree query; matrix mode partitions each off-self row around
-    its (count - 1)-th smallest entry and sorts the part kept.
+    Column 0 is the object itself at distance 0, so column k holds the
+    k-distance and no other column names the object. Point mode asks one
+    kd-tree query, which may put an exact duplicate (also at distance 0) in
+    column 0; the object's own id then moves there from its later column, or
+    replaces the duplicate when it is not in the row at all. Matrix mode
+    partitions each off-self row around its (count - 1)-th smallest entry and
+    sorts the part kept.
     """
     n = src.n
     if isinstance(src, PointSet):
-        return build_index(src).query(src.coords, count)
+        dists, idx = build_index(src).query(src.coords, count)
+        rows = np.flatnonzero(idx[:, 0] != np.arange(n))
+        if rows.size:
+            row_idx = idx[rows]
+            own = row_idx == rows[:, None]
+            moved = np.flatnonzero(own.any(axis=1))
+            row_idx[moved, own[moved].argmax(axis=1)] = row_idx[moved, 0]
+            row_idx[:, 0] = rows
+            idx[rows] = row_idx
+        return dists, idx
     values = src.values.copy()
     np.fill_diagonal(values, np.inf)
     others = np.argpartition(values, count - 2, axis=1)[:, :count - 1]

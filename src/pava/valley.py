@@ -6,6 +6,14 @@ pipeline is: trim the far tail at a percentile, bin into equal-width bins,
 subtract one from every count (so empty bins drop to -1 and sparse
 between-cluster stretches register as deep valleys), smooth with a shrinking
 moving average, and scan for the first interior valley.
+
+The trim and the histogram take a plain array or a tuple of ascending runs.
+The engine passes the runs a center's minmax distances form in dendrogram
+position space, so a round reads two order statistics off the runs' tails
+and each bin count off binary searches instead of sorting or scanning N
+values; a plain array is sorted into one run first. The threshold is numpy's
+linear percentile and the edges are np.histogram's; bins are half-open, the
+last one closed.
 """
 
 from __future__ import annotations
@@ -45,40 +53,79 @@ class DistanceHistogram:
         return float(self.bin_edges[-1])
 
 
-def cap_percentile(values, p: float = DEFAULT_TRIM_PERCENTILE) -> np.ndarray:
+def _ascending_runs(values) -> tuple:
+    """A tuple of ascending float arrays passes through; a plain array is
+    sorted into a single run."""
+    if isinstance(values, tuple):
+        return values
+    return (np.sort(np.asarray(values, dtype=np.float64)),)
+
+
+def _linear_percentile(runs, total: int, p: float) -> float:
+    """numpy's ``linear`` percentile of the union of ascending runs, with its
+    arithmetic: the two order statistics around (total - 1) * p / 100 are read
+    off the runs' tails, which hold the union's largest values."""
+    h = (total - 1) * (p / 100)
+    below = min(int(h), total - 1)  # h >= 0, so int() is its floor
+    count = total - below  # order statistics from rank `below` to the top
+    tail = np.sort(np.concatenate([run[-count:] for run in runs]), kind="stable")
+    a = float(tail[-count])
+    if below == total - 1:
+        return a
+    b = float(tail[1 - count])
+    gamma = h - below
+    diff = b - a
+    return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
+def cap_percentile(values, p: float = DEFAULT_TRIM_PERCENTILE):
     """Keep distances up to the p-th percentile; the tail above it is dropped.
 
-    Linear-interpolation percentile. p = 100 keeps everything, and a constant
-    vector passes through untouched.
+    ``values`` is a plain array, or a tuple of ascending runs (a center's
+    minmax distances in dendrogram position space); a plain array is sorted
+    into one run. Returns the same form: the retained values ascending, or
+    each run cut at the threshold. The threshold is numpy's linear-
+    interpolation percentile, bit for bit. p = 100 keeps everything, and a
+    constant vector passes through untouched.
     """
     if not 0.0 < p <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {p}")
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
+    runs = _ascending_runs(values)
+    total = sum(run.size for run in runs)
+    if total == 0:
         raise ValueError("empty distance vector")
-    threshold = np.percentile(values, p)
-    return values[values <= threshold]
+    threshold = _linear_percentile(runs, total, p)
+    kept = tuple(run[:np.searchsorted(run, threshold, side="right")] for run in runs)
+    return kept if isinstance(values, tuple) else kept[0]
 
 
 def build_histogram(dists, bins: int = DEFAULT_BINS) -> DistanceHistogram:
     """Equal-width histogram over [min, max] of the retained distances.
 
-    Bins are half-open with the last one closed. shifted_freq is raw_freq - 1,
-    so empty bins carry -1.
+    ``dists`` is a plain array or a tuple of ascending runs, as for
+    ``cap_percentile``. The edges are np.histogram's own. Bins are half-open
+    with the last one closed, and every value is counted in the bin its
+    edges give it: per run, the count below each edge is one binary search.
+    shifted_freq is raw_freq - 1, so empty bins carry -1.
     """
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
-    dists = np.asarray(dists, dtype=np.float64)
-    lo = float(dists.min())
-    hi = float(dists.max())
+    runs = [run for run in _ascending_runs(dists) if run.size]
+    if not runs:
+        raise ValueError("empty distance vector")
+    lo = min(float(run[0]) for run in runs)
+    hi = max(float(run[-1]) for run in runs)
     if lo == hi:
         raise DegenerateHistogramError("all distances identical")
+    edges = np.linspace(lo, hi, bins + 1)
     # A range only a few subnormals wide cannot hold `bins` distinct edges.
-    if np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0):
+    if np.any(np.diff(edges) <= 0):
         raise DegenerateHistogramError(f"distance range too narrow for {bins} bins")
-    raw, edges = np.histogram(dists, bins=bins, range=(lo, hi))
+    below = sum(np.searchsorted(run, edges) for run in runs)  # values under each edge
+    below[-1] = sum(run.size for run in runs)
+    raw = np.diff(below)
     centers = (edges[:-1] + edges[1:]) / 2.0
-    return DistanceHistogram(edges, centers, raw, raw.astype(np.int64) - 1)
+    return DistanceHistogram(edges, centers, raw, raw - 1)
 
 
 def smooth_profile(h: DistanceHistogram, window: int = DEFAULT_SMOOTH_WINDOW) -> DistanceHistogram:

@@ -148,13 +148,25 @@ def prim_reference(src):
 
 
 def _knn_candidates(src, k_graph: int):
-    """Every kNN pair as (min id, max id, distance), repeats and self-pairs
-    included, in (w, u, v) order."""
+    """Every kNN pair as (min id, max id, distance), repeats included, in
+    (w, u, v) order.
+
+    In point mode each row's own id is put in column 0, where the kd-tree may
+    have put an exact duplicate: it swaps places with the duplicate when it
+    is later in the row and overwrites it when it is missing. Both sit at
+    distance 0, so no distance moves, and no row yields a self-pair.
+    """
     n = src.n
     if hasattr(src, "coords"):
         from scipy.spatial import cKDTree
 
         dists, idx = cKDTree(src.coords).query(src.coords, k_graph + 1)
+        for i in range(n):
+            row = idx[i].tolist()
+            if row[0] != i:
+                if i in row:
+                    idx[i, row.index(i)] = row[0]
+                idx[i, 0] = i
         rows = np.repeat(np.arange(n), k_graph)
         cols = idx[:, 1:].ravel()
         weights = dists[:, 1:].ravel()
@@ -172,7 +184,7 @@ def _knn_candidates(src, k_graph: int):
 
 
 def knn_candidate_list(src, k_graph: int):
-    """Every kNN pair once, self-pairs dropped, in (w, u, v) order."""
+    """Every kNN pair once, in (w, u, v) order; any self-pair is dropped."""
     seen = set()
     edge_u, edge_v, edge_w = [], [], []
     for u, v, w in zip(*(a.tolist() for a in _knn_candidates(src, k_graph))):
@@ -301,6 +313,44 @@ def minmax_closure(dist_matrix: np.ndarray) -> np.ndarray:
     for k in range(n):
         np.minimum(m, np.maximum.outer(m[:, k], m[k, :]), out=m)
     return m
+
+
+def minmax_by_tree_walk(n, edges, source) -> np.ndarray:
+    """Largest edge weight on the tree path from source to every vertex, by DFS."""
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    dist = np.full(n, np.inf)
+    dist[source] = 0.0
+    stack = [source]
+    while stack:
+        u = stack.pop()
+        for v, w in adj[u]:
+            if dist[v] == np.inf:
+                dist[v] = max(dist[u], w)
+                stack.append(v)
+    return dist
+
+
+def claim_reference(tree, center: int, labeled, trim_percentile: float, bins: int,
+                    smooth_window: int):
+    """One extraction round by id, as the engine ran it before it worked in
+    dendrogram position space: minmax distances to every id, np.percentile,
+    np.histogram and a claim mask over all N. Returns (claimed ids, radius,
+    raw counts, bin edges); the last two are None for a degenerate round,
+    which claims every unlabeled object. The valley pick is the library's."""
+    from pava.valley import DistanceHistogram, first_valley_radius, smooth_profile
+
+    dist = minmax_by_tree_walk(tree.n, tree.edges(), center)
+    retained = dist[dist <= np.percentile(dist, trim_percentile)]
+    lo, hi = float(retained.min()), float(retained.max())
+    if lo == hi or np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0):
+        return np.flatnonzero(~labeled), float(dist.max()) * (1.0 + 1e-9), None, None
+    raw, edges = np.histogram(retained, bins=bins, range=(lo, hi))
+    hist = DistanceHistogram(edges, (edges[:-1] + edges[1:]) / 2.0, raw, raw - 1)
+    radius = first_valley_radius(smooth_profile(hist, smooth_window))
+    return np.flatnonzero(~labeled & (dist < radius)), radius, raw, edges
 
 
 def percentile_linear(values, p: float) -> float:

@@ -241,6 +241,14 @@ class TestSweep:
         pf, _ = moons_files
         assert main(["sweep", str(pf), "--k-values", ","]) == 2
 
+    def test_k_below_one_exit_2(self, moons_files, capsys):
+        pf, _ = moons_files
+        for k_values in ("0,3", "-2", "3,0"):
+            assert main(["sweep", str(pf), "--k-values", k_values]) == 2
+            captured = capsys.readouterr()
+            assert "positive" in captured.err
+            assert captured.out == ""
+
     def test_repeats_row_count(self, moons_files, capsys):
         pf, _ = moons_files
         assert main(["sweep", str(pf), "--k-values", "6,7", "--repeats", "2"]) == 0

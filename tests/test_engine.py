@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import pava.engine as engine_mod
 from pava.dataset import DissimilarityMatrix, PointSet, generate_synthetic
 from pava.engine import ClusterModel, PavaConfig, extract_cluster, run, select_center
 from pava.metrics import adjusted_rand_index
-from pava.mstgraph import adjust_weights, approx_k_graph, build_mst
+from pava.mstgraph import MinmaxVector, SpanningTree, adjust_weights, approx_k_graph, build_mst
 from pava.neighbors import DensityProfile, SpatialIndex, default_k, k_distance_all
 
-from oracles import euclidean_matrix, kruskal_knn_reference
+from oracles import claim_reference, euclidean_matrix, kruskal_knn_reference
 from test_mstgraph import _degenerate_sources
 
 
@@ -64,18 +65,21 @@ class TestExtractCluster:
         assert claimed.size >= int(0.9 * points.n)
 
     def test_boundary_distance_not_claimed(self, monkeypatch):
-        points = PointSet(np.array([[0.0, 0.0], [1.0, 0.0], [2.5, 0.0]]))
+        # Dendrogram order 0 1 2 3 4 with the center 2 in the middle: 0 and 4,
+        # one on each side of its position, sit exactly at the radius.
+        points = PointSet(np.array([[-2.5, 0.0], [-1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.5, 0.0]]))
         tree = build_mst(points)
+        assert tree.order.tolist() == [0, 1, 2, 3, 4]
         from pava.mstgraph import minmax_from_center
 
-        mm = minmax_from_center(tree, 0)
-        boundary = float(mm.dist[2])  # exactly the farthest bottleneck
+        mm = minmax_from_center(tree, 2)
+        boundary = 1.5
+        assert mm.left[-1] == mm.right[-1] == boundary
         monkeypatch.setattr(engine_mod, "_round_radius",
                             lambda t, c, cfg: (mm, boundary, None, False))
-        claimed, radius = extract_cluster(tree, 0, PavaConfig(), np.zeros(3, dtype=bool))
+        claimed, radius = extract_cluster(tree, 2, PavaConfig(), np.zeros(5, dtype=bool))
         assert radius == boundary
-        assert 2 not in claimed.tolist()
-        assert 0 in claimed.tolist()
+        assert claimed.tolist() == [1, 2, 3]
 
     def test_labeled_center_rejected(self):
         points, _ = _two_far_blobs(per_blob=5)
@@ -84,6 +88,76 @@ class TestExtractCluster:
         labeled[0] = True
         with pytest.raises(ValueError):
             extract_cluster(tree, 0, PavaConfig(), labeled)
+
+
+@st.composite
+def _round_cases(draw):
+    """A random tree with tied and zero weights, a center (often at the first
+    or last dendrogram position), a labeled mask and the round's knobs."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    parents = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    # No subnormal weights: over a subnormal range np.histogram, which the
+    # reference uses, can put a value in a bin its own edges do not give.
+    weight = st.sampled_from([0.0, 1.0, 2.0, 0.5]) | st.floats(0.0, 10.0, allow_subnormal=False)
+    weights = draw(st.lists(weight, min_size=n - 1, max_size=n - 1))
+    perm = np.array(draw(st.permutations(range(n))))
+    tree = SpanningTree(n, perm[parents], perm[1:], np.array(weights))
+    where = draw(st.sampled_from(["first", "last", "any"]))
+    if where == "any":
+        center = draw(st.integers(0, n - 1))
+    else:
+        center = int(tree.order[0 if where == "first" else -1])
+    labeled = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    labeled[center] = False
+    cfg = PavaConfig(trim_percentile=draw(st.sampled_from([1.0, 37.5, 90.0, 99.0, 100.0])),
+                     bins=draw(st.sampled_from([3, 10, 200])),
+                     smooth_window=draw(st.sampled_from([1, 3, 21])))
+    return tree, center, labeled, cfg
+
+
+class TestRoundInPositionSpace:
+    @given(_round_cases())
+    @settings(max_examples=300, deadline=None)
+    @example((SpanningTree(2, [0], [1], [0.0]), 1, np.array([False, False]), PavaConfig()))
+    @example((SpanningTree(2, [0], [1], [3.0]), 0, np.array([False, True]), PavaConfig()))
+    def test_matches_the_by_id_reference(self, case):
+        tree, center, labeled, cfg = case
+        claimed, radius, hist = engine_mod._claim(tree, center, cfg, labeled)
+        ref_claimed, ref_radius, ref_raw, ref_edges = claim_reference(
+            tree, center, labeled, cfg.trim_percentile, cfg.bins, cfg.smooth_window)
+        assert radius == ref_radius
+        assert claimed.dtype == ref_claimed.dtype
+        assert np.array_equal(claimed, ref_claimed)
+        if ref_raw is None:
+            assert hist is None
+        else:
+            assert np.array_equal(hist.raw_freq, ref_raw)
+            assert np.array_equal(hist.bin_edges, ref_edges)
+
+    def test_run_never_builds_distances_by_id(self, monkeypatch):
+        def by_id(self):
+            raise AssertionError("a round gathered its distances by id")
+
+        monkeypatch.setattr(MinmaxVector, "dist", property(by_id))
+        points, _ = generate_synthetic("blobs", 300, seed=2)
+        for mode in ("exact", "approximate"):
+            model = run(points, PavaConfig(mst_mode=mode))
+            assert model.m >= 2
+        # A degenerate round (all distances equal) takes the same path.
+        assert run(PointSet(np.zeros((30, 2)))).m == 1
+
+    def test_select_center_shares_one_queue(self):
+        density = _profile([2, 0, 2, 1, 0])
+        queue = np.argsort(density.kdist, kind="stable")[::-1].tolist()
+        labeled = np.zeros(5, dtype=bool)
+        picks = []
+        for _ in range(5):
+            picks.append(select_center(density, labeled, queue))
+            assert picks[-1] == select_center(density, labeled)
+            labeled[picks[-1]] = True
+        assert picks == [1, 4, 3, 0, 2]
+        with pytest.raises(ValueError):
+            select_center(density, labeled, queue)
 
 
 class TestRun:

@@ -177,7 +177,7 @@ class TestBuildMst:
         # Equal distances everywhere: each side may pick another tree of the
         # component graph, but all its minimum spanning trees share one weight
         # multiset. Groups of more than k_graph + 1 duplicates are components
-        # of their own, and their kNN lists can hold self-pairs.
+        # of their own.
         grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1).reshape(-1, 3)
         sites = rng.normal(size=(5, 2)) * 20
         tie_heavy = [PointSet(np.vstack([grid, grid + [10.0, 0.0, 0.0]])),
@@ -187,6 +187,35 @@ class TestBuildMst:
         for src in tie_heavy:
             tree = build_mst(src, "approximate")
             assert np.array_equal(np.sort(tree.edge_w), np.sort(kruskal_knn_reference(src)[2]))
+
+    def test_duplicates_keep_every_candidate_edge(self):
+        # Three copies of each site: the kd-tree may list a copy before the
+        # point itself. Fifteen copies: a point may be missing from its own row.
+        rng = np.random.default_rng(1)
+        for sites, copies in ((50, 3), (12, 15)):
+            coords = np.repeat(rng.normal(size=(sites, 3)) * 5, copies, axis=0)
+            src = PointSet(coords[rng.permutation(len(coords))])
+            k_graph = mstgraph.approx_k_graph(src.n)
+            dists, idx = nearest_lists(src, k_graph + 1)
+            rows = np.arange(src.n)
+            assert np.array_equal(idx[:, 0], rows)
+            assert not np.any(idx[:, 1:] == rows[:, None])
+            assert np.array_equal(dists, np.linalg.norm(src.coords[idx] - src.coords[:, None], axis=2))
+            cand_u, cand_v, _ = mstgraph._candidate_knn_edges((dists, idx), k_graph)
+            assert np.all(cand_u < cand_v)
+            # Every row's k_graph pairs, less those two rows share.
+            pairs = {(min(i, j), max(i, j)) for i in rows.tolist() for j in idx[i, 1:].tolist()}
+            assert len(cand_u) == len(pairs)
+            tree = build_mst(src, "approximate")
+            ref_u, ref_v, ref_w = kruskal_knn_reference(src)
+            if copies <= k_graph:
+                assert np.array_equal(tree.edge_u, ref_u)
+                assert np.array_equal(tree.edge_v, ref_v)
+                assert np.array_equal(tree.edge_w, ref_w)
+            else:
+                # Each site is a component of its own, and the stitch may
+                # join it through another of its equally near copies.
+                assert np.array_equal(np.sort(tree.edge_w), np.sort(ref_w))
 
     def test_stitch_tie_rule(self):
         # Singleton components make the stitch a plain Prim from vertex 0.

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pava import valley
 from pava.valley import (
     DegenerateHistogramError,
     DistanceHistogram,
@@ -101,6 +102,64 @@ class TestBuildHistogram:
     def test_too_few_bins(self):
         with pytest.raises(ValueError, match="bins"):
             build_histogram(np.arange(5.0), bins=1)
+
+
+@st.composite
+def _value_runs(draw):
+    """Non-negative values with ties, or only a few ULPs (or subnormal steps)
+    apart, split into one to three ascending runs, some of them empty."""
+    kind = draw(st.sampled_from(["ties", "ulps", "subnormal", "free"]))
+    size = draw(st.integers(min_value=1, max_value=60))
+    if kind == "ties":
+        values = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=size, max_size=size))
+    elif kind in ("ulps", "subnormal"):
+        base = 0.0 if kind == "subnormal" else draw(st.floats(min_value=1e-250, max_value=1e6))
+        steps = draw(st.lists(st.integers(0, 300 if kind == "subnormal" else 8),
+                              min_size=size, max_size=size))
+        values = [base + k * np.spacing(base) for k in steps]
+    else:
+        values = draw(st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=size, max_size=size))
+    values = np.array(values, dtype=np.float64)
+    cuts = sorted(draw(st.lists(st.integers(0, size), min_size=0, max_size=2)))
+    return tuple(np.sort(part) for part in np.split(values, cuts))
+
+
+class TestAscendingRuns:
+    @given(_value_runs(), st.floats(min_value=0.0, max_value=100.0, exclude_min=True)
+           | st.sampled_from([1.0, 50.0, 99.0, 100.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_percentile_matches_numpy(self, runs, p):
+        values = np.concatenate(runs)
+        threshold = np.percentile(values, p)
+        assert valley._linear_percentile(runs, values.size, p) == threshold
+        kept = cap_percentile(runs, p)
+        assert len(kept) == len(runs)
+        assert np.array_equal(np.sort(np.concatenate(kept)), np.sort(values[values <= threshold]))
+        assert np.array_equal(cap_percentile(values, p), np.sort(values[values <= threshold]))
+
+    @given(_value_runs(), st.sampled_from([2, 3, 7, 200]))
+    @settings(max_examples=400, deadline=None)
+    def test_histogram_matches_numpy(self, runs, bins):
+        values = np.concatenate(runs)
+        lo, hi = values.min(), values.max()
+        try:
+            h = build_histogram(runs, bins)
+        except DegenerateHistogramError:
+            assert lo == hi or np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0)
+            return
+        edges = np.linspace(lo, hi, bins + 1)
+        assert np.array_equal(h.bin_edges, edges)
+        # Half-open bins, the last one closed, read off the edges themselves.
+        below = [np.count_nonzero(values < e) for e in edges[:-1]] + [values.size]
+        assert np.array_equal(h.raw_freq, np.diff(below))
+        assert np.array_equal(build_histogram(values, bins).raw_freq, h.raw_freq)
+        if hi - lo >= np.finfo(np.float64).tiny:
+            # Over a subnormal range np.histogram's index arithmetic can put
+            # a value in a bin its own edges do not give; elsewhere it agrees.
+            raw, np_edges = np.histogram(values, bins=bins, range=(lo, hi))
+            assert np.array_equal(np_edges, edges)
+            assert h.raw_freq.dtype == raw.dtype
+            assert np.array_equal(h.raw_freq, raw)
 
 
 class TestSmoothProfile:
