@@ -27,7 +27,7 @@ from .mstgraph import (
     minmax_from_center,
     propagate_labels,
 )
-from .neighbors import DensityProfile, SpatialIndex, build_index, default_k, k_distance_all
+from .neighbors import DensityProfile, build_index, default_k, k_distance_all
 from .valley import (
     DegenerateHistogramError,
     DistanceHistogram,
@@ -50,7 +50,6 @@ __all__ = [
     "PavaConfig",
     "PointSet",
     "SpanningTree",
-    "SpatialIndex",
     "adjust_weights",
     "adjusted_rand_index",
     "build_histogram",

@@ -36,6 +36,7 @@ from .valley import (
     DEFAULT_BINS,
     DEFAULT_SMOOTH_WINDOW,
     DEFAULT_TRIM_PERCENTILE,
+    ENGULF_MARGIN,
     DegenerateHistogramError,
     DistanceHistogram,
     build_histogram,
@@ -130,7 +131,7 @@ def _round_radius(tree: SpanningTree, center: int, cfg: PavaConfig):
         degenerate = False
     except DegenerateHistogramError:
         hist = None
-        radius = max(float(run[-1]) for run in mm.runs if run.size) * (1.0 + 1e-9)
+        radius = max(float(run[-1]) for run in mm.runs if run.size) * (1.0 + ENGULF_MARGIN)
         degenerate = True
     return mm, radius, hist, degenerate
 

@@ -117,9 +117,9 @@ def build_mst(src, mode: str = "exact", knn=None) -> SpanningTree:
     smallest vertex id among equal weights, and an equal-weight update keeps
     the smaller parent id.
 
-    approximate: the forest Kruskal builds from each object's k_graph =
-    ``approx_k_graph(N)`` nearest neighbours, in (w, u, v) order, each
-    component's root being its smallest id; then Prim over that forest's
+    approximate, on a PointSet: the forest Kruskal builds from each point's
+    k_graph = ``approx_k_graph(N)`` nearest neighbours, in (w, u, v) order,
+    each component's root being its smallest id; then Prim over that forest's
     components from vertex 0's. The forest comes from vectorised Borůvka
     rounds, whose picks are exactly Kruskal's. In the Prim, the outside
     component with the nearest point (the smallest id among equal distances)
@@ -127,12 +127,13 @@ def build_mst(src, mode: str = "exact", knn=None) -> SpanningTree:
     each joined component's kd-tree is queried only by points of components
     near its bounding box. ``knn``, the (dists, idx) lists returned by
     ``k_distance_all(src, k, approx_k_graph(N))``, saves the neighbour query;
-    without it the tree asks its own. Always connected.
+    without it the tree asks its own. Always connected. A matrix has already
+    paid O(N^2), so there approximate builds the exact tree.
     """
-    if mode == "exact":
-        return _prim_exact(src)
-    if mode == "approximate":
+    if mode == "approximate" and isinstance(src, PointSet):
         return _kruskal_knn(src, knn)
+    if mode in ("exact", "approximate"):
+        return _prim_exact(src)
     raise ValueError(f"unknown MST mode {mode!r}")
 
 
@@ -252,11 +253,11 @@ def _dendrogram_order(n: int, edge_u, edge_v, edge_w):
     return order, np.array(gap_after)[order[:-1]]
 
 
-def _kruskal_knn(src, knn=None) -> SpanningTree:
-    n = src.n
+def _kruskal_knn(p: PointSet, knn=None) -> SpanningTree:
+    n = p.n
     k_graph = approx_k_graph(n)
     if knn is None:
-        knn = nearest_lists(src, k_graph + 1)
+        knn = nearest_lists(p, k_graph + 1)
     elif knn[1].shape[0] != n or knn[1].shape[1] <= k_graph:
         raise ValueError(f"expected neighbour lists of shape ({n}, >= {k_graph + 1})")
     cand_u, cand_v, cand_w = _candidate_knn_edges(knn, k_graph)
@@ -265,7 +266,7 @@ def _kruskal_knn(src, knn=None) -> SpanningTree:
     edge_u, edge_v, edge_w = cand_u[picked], cand_v[picked], cand_w[picked]
     if len(picked) < n - 1:
         more = [], [], []
-        _stitch(src, comp, *more)
+        _stitch(p, comp, *more)
         edge_u, edge_v, edge_w = (np.append(a, b) for a, b in zip((edge_u, edge_v, edge_w), more))
     return SpanningTree(n, edge_u, edge_v, edge_w, "raw")
 
@@ -316,7 +317,7 @@ def _knn_forest(n: int, cand_u, cand_v):
     return np.flatnonzero(picked), comp
 
 
-def _stitch(src, comp, edge_u, edge_v, edge_w):
+def _stitch(p: PointSet, comp, edge_u, edge_v, edge_w):
     """Prim over the forest's components (vertex labels ``comp``) from vertex
     0's, appending its edges.
 
@@ -329,15 +330,13 @@ def _stitch(src, comp, edge_u, edge_v, edge_w):
     only its points no farther from the box than the bound (and than the best
     key) are queried next. Any point farther can neither lower nor tie it.
     """
-    points = isinstance(src, PointSet)
     members = np.argsort(comp, kind="stable")  # grouped by component, ids ascending
     first = np.flatnonzero(np.append(True, comp[members][1:] != comp[members][:-1]))
     sizes = np.diff(np.append(first, len(members)))
     which = np.empty(len(members), dtype=np.int64)
     which[members] = np.repeat(np.arange(len(first)), sizes)
-    if points:
-        grouped = src.coords[members]
-        lo, hi = np.minimum.reduceat(grouped, first), np.maximum.reduceat(grouped, first)
+    grouped = p.coords[members]
+    lo, hi = np.minimum.reduceat(grouped, first), np.maximum.reduceat(grouped, first)
     best = np.full(len(first), np.inf)
     best_vertex = np.zeros(len(first), dtype=np.int64)
     best_near = np.zeros(len(first), dtype=np.int64)
@@ -347,30 +346,25 @@ def _stitch(src, comp, edge_u, edge_v, edge_w):
     for _ in range(len(first) - 1):
         outside[joined] = False
         part = members[first[joined]:first[joined] + sizes[joined]]
+        tree = cKDTree(p.coords[part])
         rest = np.flatnonzero(outside)
-        if points:
-            tree = cKDTree(src.coords[part])
-            gap = np.maximum(np.maximum(lo[rest] - hi[joined], lo[joined] - hi[rest]), 0)
-            rest = rest[(gap * gap).sum(axis=1) <= (best[rest] * slack) ** 2]
+        gap = np.maximum(np.maximum(lo[rest] - hi[joined], lo[joined] - hi[rest]), 0)
+        rest = rest[(gap * gap).sum(axis=1) <= (best[rest] * slack) ** 2]
         if rest.size:
             # The points of those components, one segment per component.
             lengths = sizes[rest]
             seg = np.cumsum(lengths) - lengths
             ids = members[np.arange(lengths.sum()) + np.repeat(first[rest] - seg, lengths)]
-            if points:
-                x = src.coords[ids]
-                gap = np.clip(x, lo[joined], hi[joined]) - x
-                box = (gap * gap).sum(axis=1)
-                d, j = np.full(len(ids), np.inf), np.zeros(len(ids), dtype=np.int64)
-                _, probe = _first_min(box, seg, lengths)
-                d[probe], j[probe] = tree.query(x[probe], k=1)
-                bound = np.minimum(best[rest], d[probe]) * slack
-                more = box <= np.repeat(bound * bound, lengths)
-                more[probe] = False
-                d[more], j[more] = tree.query(x[more], k=1)
-            else:
-                block = src.values[np.ix_(part, ids)]
-                d, j = block.min(axis=0), block.argmin(axis=0)
+            x = p.coords[ids]
+            gap = np.clip(x, lo[joined], hi[joined]) - x
+            box = (gap * gap).sum(axis=1)
+            d, j = np.full(len(ids), np.inf), np.zeros(len(ids), dtype=np.int64)
+            _, probe = _first_min(box, seg, lengths)
+            d[probe], j[probe] = tree.query(x[probe], k=1)
+            bound = np.minimum(best[rest], d[probe]) * slack
+            more = box <= np.repeat(bound * bound, lengths)
+            more[probe] = False
+            d[more], j[more] = tree.query(x[more], k=1)
             low, at = _first_min(d, seg, lengths)
             better = (low < best[rest]) | ((low == best[rest]) & (ids[at] < best_vertex[rest]))
             c, at = rest[better], at[better]

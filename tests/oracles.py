@@ -148,35 +148,27 @@ def prim_reference(src):
 
 
 def _knn_candidates(src, k_graph: int):
-    """Every kNN pair as (min id, max id, distance), repeats included, in
-    (w, u, v) order.
+    """Every kNN pair of a PointSet as (min id, max id, distance), repeats
+    included, in (w, u, v) order.
 
-    In point mode each row's own id is put in column 0, where the kd-tree may
-    have put an exact duplicate: it swaps places with the duplicate when it
-    is later in the row and overwrites it when it is missing. Both sit at
-    distance 0, so no distance moves, and no row yields a self-pair.
+    Each row's own id is put in column 0, where the kd-tree may have put an
+    exact duplicate: it swaps places with the duplicate when it is later in
+    the row and overwrites it when it is missing. Both sit at distance 0, so
+    no distance moves, and no row yields a self-pair.
     """
-    n = src.n
-    if hasattr(src, "coords"):
-        from scipy.spatial import cKDTree
+    from scipy.spatial import cKDTree
 
-        dists, idx = cKDTree(src.coords).query(src.coords, k_graph + 1)
-        for i in range(n):
-            row = idx[i].tolist()
-            if row[0] != i:
-                if i in row:
-                    idx[i, row.index(i)] = row[0]
-                idx[i, 0] = i
-        rows = np.repeat(np.arange(n), k_graph)
-        cols = idx[:, 1:].ravel()
-        weights = dists[:, 1:].ravel()
-    else:
-        k_graph = min(k_graph, n - 1)
-        values = src.values.copy()
-        np.fill_diagonal(values, np.inf)
-        cols = np.argpartition(values, k_graph - 1, axis=1)[:, :k_graph].ravel()
-        rows = np.repeat(np.arange(n), k_graph)
-        weights = values[rows, cols]
+    n = src.n
+    dists, idx = cKDTree(src.coords).query(src.coords, k_graph + 1)
+    for i in range(n):
+        row = idx[i].tolist()
+        if row[0] != i:
+            if i in row:
+                idx[i, row.index(i)] = row[0]
+            idx[i, 0] = i
+    rows = np.repeat(np.arange(n), k_graph)
+    cols = idx[:, 1:].ravel()
+    weights = dists[:, 1:].ravel()
     u = np.minimum(rows, cols)
     v = np.maximum(rows, cols)
     order = np.lexsort((v, u, weights))
@@ -233,9 +225,10 @@ def kruskal_forest_reference(n: int, cand_u, cand_v, cand_w):
 
 
 def kruskal_knn_reference(src):
-    """Approximate tree by Kruskal over kNN edges, then one stitch per leftover
-    component through the nearest (inside, outside) pair of vertex 0's
-    component, found by a kd-tree over every outside vertex; as edge arrays.
+    """Approximate tree of a PointSet by Kruskal over kNN edges, then one
+    stitch per leftover component through the nearest (inside, outside) pair
+    of vertex 0's component, found by a kd-tree over every outside vertex; as
+    edge arrays.
     """
     n = src.n
     # The library's kNN graph size: max(ceil(ln n), 10), at most n - 1.
@@ -262,24 +255,16 @@ def kruskal_knn_reference(src):
 
 def _nearest_cross_pair(src, uf: _UnionFind):
     """Closest (inside, outside) pair for the component containing vertex 0."""
+    from scipy.spatial import cKDTree
+
     n = src.n
     roots = np.fromiter((uf.find(i) for i in range(n)), dtype=np.int64, count=n)
     inside = np.flatnonzero(roots == roots[0])
     outside = np.flatnonzero(roots != roots[0])
-    if hasattr(src, "coords"):
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(src.coords[outside])
-        dists, nearest = tree.query(src.coords[inside], k=1)
-        j = int(np.argmin(dists))
-        return int(inside[j]), int(outside[nearest[j]]), float(dists[j])
-    best = (np.inf, -1, -1)
-    for i in inside:
-        row = src.values[i][outside]
-        j = int(np.argmin(row))
-        if row[j] < best[0]:
-            best = (float(row[j]), int(i), int(outside[j]))
-    return best[1], best[2], best[0]
+    tree = cKDTree(src.coords[outside])
+    dists, nearest = tree.query(src.coords[inside], k=1)
+    j = int(np.argmin(dists))
+    return int(inside[j]), int(outside[nearest[j]]), float(dists[j])
 
 
 def minmax_exhaustive(dist_matrix: np.ndarray, source: int) -> np.ndarray:

@@ -93,6 +93,19 @@ class TestCluster:
         pred = np.loadtxt(labels_out, dtype=int)
         assert adjusted_rand_index(truth.labels, pred) == 1.0
 
+    def test_matrix_approximate_mode_writes_the_exact_tree(self, tmp_path):
+        points, _ = generate_synthetic("twomoons_noise", 200, seed=3)
+        mf = tmp_path / "dist.csv"
+        np.savetxt(mf, euclidean_matrix(points.coords), fmt="%.17g", delimiter=",")
+        for mode in ("exact", "approximate"):
+            assert main(["cluster", "--matrix", str(mf), "--mst", mode,
+                         "--labels-out", str(tmp_path / f"{mode}.pred.csv"),
+                         "--report-out", str(tmp_path / f"{mode}.json"),
+                         "--emit-mst", str(tmp_path / mode)]) == 0
+        for suffix in (".pred.csv", ".mst_raw.csv"):
+            assert ((tmp_path / f"approximate{suffix}").read_bytes()
+                    == (tmp_path / f"exact{suffix}").read_bytes())
+
     def test_k_too_large_exit_2(self, moons_files, capsys):
         pf, _ = moons_files
         assert main(["cluster", str(pf), "--k", "600"]) == 2

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import pava.engine as engine_mod
+import pava.neighbors as neighbors_mod
 from pava.dataset import DissimilarityMatrix, PointSet, generate_synthetic
 from pava.engine import ClusterModel, PavaConfig, extract_cluster, run, select_center
 from pava.metrics import adjusted_rand_index
 from pava.mstgraph import MinmaxVector, SpanningTree, adjust_weights, approx_k_graph, build_mst
-from pava.neighbors import DensityProfile, SpatialIndex, default_k, k_distance_all
+from pava.neighbors import DensityProfile, default_k, k_distance_all
 
 from oracles import claim_reference, euclidean_matrix, kruskal_knn_reference
 from test_mstgraph import _degenerate_sources
@@ -208,6 +210,16 @@ class TestRun:
         matrix = DissimilarityMatrix(euclidean_matrix(points.coords))
         assert np.array_equal(run(points).labels, run(matrix).labels)
 
+    def test_matrix_approximate_mode_is_exact(self):
+        points, _ = generate_synthetic("twomoons_noise", 300, seed=4)
+        matrix = DissimilarityMatrix(euclidean_matrix(points.coords))
+        exact = run(matrix, PavaConfig(mst_mode="exact"))
+        approx = run(matrix, PavaConfig(mst_mode="approximate"))
+        assert np.array_equal(approx.labels, exact.labels)
+        assert [r.radius for r in approx.rounds] == [r.radius for r in exact.rounds]
+        for name in ("edge_u", "edge_v", "edge_w"):
+            assert np.array_equal(getattr(approx.raw_tree, name), getattr(exact.raw_tree, name))
+
     def test_rigid_motion_leaves_labels_unchanged(self):
         points, _ = generate_synthetic("twomoons", 400, seed=7)
         base = run(points).labels
@@ -288,13 +300,13 @@ class TestRun:
         points, _ = generate_synthetic("blobs", 400, seed=12)
         assert approx_k_graph(points.n) == 10
         counts = []
-        query = SpatialIndex.query
 
-        def counting_query(self, x, count):
-            counts.append(count)
-            return query(self, x, count)
+        class CountingTree(cKDTree):
+            def query(self, x, k, **kwargs):
+                counts.append(k)
+                return super().query(x, k, **kwargs)
 
-        monkeypatch.setattr(SpatialIndex, "query", counting_query)
+        monkeypatch.setattr(neighbors_mod, "build_index", lambda p: CountingTree(p.coords))
         model = run(points, PavaConfig(k=k, mst_mode="approximate"))
         monkeypatch.undo()
         assert counts == [max(k, 10) + 1]

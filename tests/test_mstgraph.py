@@ -130,13 +130,19 @@ class TestBuildMst:
         assert approx.total_weight <= exact.total_weight * 1.05
 
     def test_approximate_mode_on_matrix(self):
+        # A matrix has already paid O(N^2): approximate builds the exact tree.
         rng = np.random.default_rng(11)
         coords = np.vstack([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 30.0])
-        m = DissimilarityMatrix(euclidean_matrix(coords))
-        approx = build_mst(m, "approximate")
-        exact = build_mst(m, "exact")
-        assert len(approx.edge_w) == 79
-        assert approx.total_weight <= exact.total_weight * 1.05
+        tied = rng.integers(1, 4, size=(40, 40)).astype(float)
+        sources = [DissimilarityMatrix(euclidean_matrix(coords)),
+                   DissimilarityMatrix(np.triu(tied, 1) + np.triu(tied, 1).T),
+                   DissimilarityMatrix(np.full((6, 6), 3.0) - 3.0 * np.eye(6))]
+        for m in sources:
+            approx = build_mst(m, "approximate")
+            ref_u, ref_v, ref_w = prim_reference(m)
+            assert np.array_equal(approx.edge_u, ref_u)
+            assert np.array_equal(approx.edge_v, ref_v)
+            assert np.array_equal(approx.edge_w, ref_w)
 
     def test_exact_edges_match_reference_prim(self):
         rng = np.random.default_rng(31)
@@ -167,7 +173,6 @@ class TestBuildMst:
         blobs = [_blob_grid(rng, 2), _blob_grid(rng, 3)]
         tie_free = [PointSet(c) for c in blobs]
         tie_free += [PointSet(rng.normal(size=(n, d))) for d in (1, 2, 3, 8) for n in (2, 3, 150)]
-        tie_free.append(DissimilarityMatrix(euclidean_matrix(blobs[0])))
         for src in tie_free:
             tree = build_mst(src, "approximate")
             ref_u, ref_v, ref_w = kruskal_knn_reference(src)
@@ -182,8 +187,7 @@ class TestBuildMst:
         sites = rng.normal(size=(5, 2)) * 20
         tie_heavy = [PointSet(np.vstack([grid, grid + [10.0, 0.0, 0.0]])),
                      PointSet(np.repeat(sites, 15, axis=0)[rng.permutation(75)]),
-                     _points_1d(np.arange(72) % 6), PointSet(np.ones((7, 2))),
-                     DissimilarityMatrix(np.full((6, 6), 3.0) - 3.0 * np.eye(6))]
+                     _points_1d(np.arange(72) % 6), PointSet(np.ones((7, 2)))]
         for src in tie_heavy:
             tree = build_mst(src, "approximate")
             assert np.array_equal(np.sort(tree.edge_w), np.sort(kruskal_knn_reference(src)[2]))
@@ -221,38 +225,31 @@ class TestBuildMst:
         # Singleton components make the stitch a plain Prim from vertex 0.
         cases = [
             # 1 and 2 are equally near 0: the smaller id joins first.
-            ([[0, 1, 1], [1, 0, 5], [1, 5, 0]], ([0, 0], [1, 2], [1.0, 1.0])),
-            # 2 is equally near 3 and 1: 3 joined the tree first and is kept.
-            ([[0, 5, 9, 1], [5, 0, 3, 2], [9, 3, 0, 3], [1, 2, 3, 0]],
-             ([0, 3, 3], [3, 1, 2], [1.0, 2.0, 3.0])),
+            ([[0, 0], [1, 0], [-1, 0]], ([0, 0], [1, 2], [1.0, 1.0])),
+            # 2 is sqrt(5) from both 3 and 1: 3 joined the tree first and is kept.
+            ([[0, 0], [1, 2], [3, 1], [1, 0]], ([0, 3, 3], [3, 1, 2], [1.0, 2.0, np.sqrt(5.0)])),
         ]
-        for values, want in cases:
+        for coords, want in cases:
             edges = ([], [], [])
-            mstgraph._stitch(DissimilarityMatrix(np.array(values, float)),
-                             np.arange(len(values)), *edges)
+            mstgraph._stitch(PointSet(np.array(coords, float)), np.arange(len(coords)), *edges)
             assert edges == want
 
     def test_stitch_tie_rule_across_components(self):
         cases = [
             # Component {1, 2} is 2 from the tree at 2 (through 0); once 3
             # joins, 1 is 2 from it too, and the smaller id 1 joins for it.
-            ([[0, 5, 2, 1], [5, 0, 4, 2], [2, 4, 0, 9], [1, 2, 9, 0]], [0, 1, 1, 3],
-             ([0, 3], [3, 1], [1.0, 2.0])),
+            ([[0, 0], [3, 0], [0, 2], [1, 0]], [0, 1, 1, 3], ([0, 3], [3, 1], [1.0, 2.0])),
             # Components {1, 3} and {2} are both 1 from 0: {2} holds the
             # smaller id at that distance and joins first.
-            ([[0, 5, 1, 1], [5, 0, 9, 4], [1, 9, 0, 9], [1, 4, 9, 0]], [0, 1, 2, 1],
-             ([0, 0], [2, 3], [1.0, 1.0])),
+            ([[0, 0], [3, 0], [0, 1], [1, 0]], [0, 1, 2, 1], ([0, 0], [2, 3], [1.0, 1.0])),
+            # 2 and 3 are both sqrt(10) from the tree {0, 1}, though 2 lies
+            # farther from its bounding box; the smaller id 2 joins.
+            ([[0, 0], [0, 2], [1, -3], [3, 1]], [0, 0, 2, 2], ([0], [2], [np.sqrt(10.0)])),
         ]
-        for values, comp, want in cases:
+        for coords, comp, want in cases:
             edges = ([], [], [])
-            mstgraph._stitch(DissimilarityMatrix(np.array(values, float)), np.array(comp), *edges)
+            mstgraph._stitch(PointSet(np.array(coords, float)), np.array(comp), *edges)
             assert edges == want
-        # Points: 2 and 3 are both sqrt(10) from the tree {0, 1}, though 2
-        # lies farther from its bounding box; the smaller id 2 joins.
-        coords = np.array([[0.0, 0.0], [0.0, 2.0], [1.0, -3.0], [3.0, 1.0]])
-        edges = ([], [], [])
-        mstgraph._stitch(PointSet(coords), np.array([0, 0, 2, 2]), *edges)
-        assert edges == ([0], [2], [np.sqrt(10.0)])
 
     def test_stitching_indexes_each_component_once(self, monkeypatch):
         # One kd-tree per joined component (none for the last) indexes at most

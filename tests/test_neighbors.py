@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pava.dataset import DissimilarityMatrix, PointSet
-from pava.neighbors import build_index, default_k, k_distance_all, nearest_lists, query_workers
+from pava.neighbors import build_index, default_k, k_distance_all, query_workers
 
 from oracles import brute_knn, euclidean_matrix, kdist_bruteforce
 
@@ -126,24 +126,18 @@ class TestKDistanceAll:
         rng = np.random.default_rng(23)
         coords = rng.normal(size=(80, 3))
         ref = euclidean_matrix(coords)
-        for src in (PointSet(coords), DissimilarityMatrix(ref)):
-            for k, k_graph in ((3, 10), (10, 10), (14, 10)):
-                alone = k_distance_all(src, k)
-                profile, (dists, idx) = k_distance_all(src, k, k_graph)
-                assert np.array_equal(profile.kdist, alone.kdist)
-                assert dists.shape == idx.shape == (80, max(k, k_graph) + 1)
-                assert np.array_equal(idx[:, 0], np.arange(80))
-                assert np.array_equal(dists, ref[np.arange(80)[:, None], idx])
-                assert np.array_equal(dists, np.sort(ref, axis=1)[:, :max(k, k_graph) + 1])
-
-    def test_matrix_neighbour_lists_hold_every_tied_value(self):
-        values = np.random.default_rng(5).integers(1, 4, size=(30, 30)).astype(float)
-        values = np.triu(values, 1) + np.triu(values, 1).T
-        dists, idx = nearest_lists(DissimilarityMatrix(values), 8)
-        assert np.array_equal(dists, values[np.arange(30)[:, None], idx])
-        off_self = np.where(np.eye(30, dtype=bool), np.inf, values)
-        assert np.array_equal(dists[:, 1:], np.sort(off_self, axis=1)[:, :7])
-        assert np.all(idx[:, 1:] != np.arange(30)[:, None])
+        for k, k_graph in ((3, 10), (10, 10), (14, 10)):
+            alone = k_distance_all(PointSet(coords), k)
+            profile, (dists, idx) = k_distance_all(PointSet(coords), k, k_graph)
+            assert np.array_equal(profile.kdist, alone.kdist)
+            assert dists.shape == idx.shape == (80, max(k, k_graph) + 1)
+            assert np.array_equal(idx[:, 0], np.arange(80))
+            assert np.array_equal(dists, ref[np.arange(80)[:, None], idx])
+            assert np.array_equal(dists, np.sort(ref, axis=1)[:, :max(k, k_graph) + 1])
+            # A matrix gets the exact tree, so it has no lists to share.
+            profile, lists = k_distance_all(DissimilarityMatrix(ref), k, k_graph)
+            assert np.array_equal(profile.kdist, k_distance_all(DissimilarityMatrix(ref), k).kdist)
+            assert lists is None
 
     def test_independent_of_worker_count(self, monkeypatch):
         rng = np.random.default_rng(27)
