@@ -283,13 +283,13 @@ def cmd_sweep(args) -> int:
     _check_threads()
     input_path = _require_file(args.input)
     src = _load_source(input_path, args.matrix)
+    if max(k_values) >= src.n:
+        raise UsageError(f"k must be < N (k={max(k_values)}, N={src.n})")
     truth = _load_truth(args.labels_true, src.n) if args.labels_true else None
 
     lines = ["dataset,k,repeat,seed,RI,ARI,FS,M,runtime_ms,density_ms,mst_ms,extract_ms,propagate_ms"]
     for cfg in configs:
         k = cfg.k
-        if k >= src.n:
-            raise UsageError(f"k must be < N (k={k}, N={src.n})")
         for rep in range(args.repeats):
             start = time.perf_counter()
             model = run(src, cfg)

@@ -57,11 +57,13 @@ class DissimilarityMatrix:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"matrix must be square, got shape {values.shape}")
+        if values.shape[0] < 2:
+            raise ValueError(f"need at least 2 objects, got {values.shape[0]}")
         if not np.all(np.isfinite(values)):
             raise ValueError("matrix contains non-finite values")
         if np.any(values < 0):
             raise ValueError("matrix contains negative entries")
-        tol = SYMMETRY_RTOL * max(values.max(), 1.0) if values.size else 0.0
+        tol = SYMMETRY_RTOL * max(values.max(), 1.0)
         if np.abs(values - values.T).max() > tol:
             raise ValueError("matrix is not symmetric within tolerance")
         if np.abs(np.diag(values)).max() > tol:

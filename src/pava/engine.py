@@ -104,17 +104,14 @@ class ClusterModel:
     tree: SpanningTree = field(repr=False)
 
 
-def select_center(density: DensityProfile, labeled: np.ndarray, queue: list | None = None) -> int:
+def select_center(queue: list, labeled: np.ndarray) -> int:
     """Unlabeled object with the minimum k-distance; ties pick the smallest index.
 
     ``queue`` lists the ids in descending stable k-distance order, so its end
     is the next candidate; labeled ids are popped off that end. A run shares
     one queue across its rounds, which makes every round's pick O(1)
-    amortized instead of a scan over all N. Without one, a fresh queue is
-    sorted for the call.
+    amortized instead of a scan over all N.
     """
-    if queue is None:
-        queue = np.argsort(density.kdist, kind="stable")[::-1].tolist()
     while queue and labeled[queue[-1]]:
         queue.pop()
     if not queue:
@@ -122,45 +119,31 @@ def select_center(density: DensityProfile, labeled: np.ndarray, queue: list | No
     return queue[-1]
 
 
-def _round_radius(tree: SpanningTree, center: int, cfg: PavaConfig):
+def extract_cluster(tree: SpanningTree, center: int, cfg: PavaConfig, labeled: np.ndarray):
+    """One round: claim every unlabeled object whose minmax distance to center is < radius.
+
+    The radius comes from the valley pipeline over the distances to all N
+    objects, the center's own 0 included. A degenerate histogram (all
+    distances equal) claims everything still unlabeled. Returns (claimed
+    indices ascending, radius, smoothed histogram), the histogram None for a
+    degenerate round.
+    """
+    if labeled[center]:
+        raise ValueError(f"center {center} is already labeled")
     mm = minmax_from_center(tree, center)
     retained = cap_percentile(mm.runs, cfg.trim_percentile)
     try:
         hist = smooth_profile(build_histogram(retained, cfg.bins), cfg.smooth_window)
-        radius = first_valley_radius(hist)
-        degenerate = False
     except DegenerateHistogramError:
-        hist = None
         radius = max(float(run[-1]) for run in mm.runs if run.size) * (1.0 + ENGULF_MARGIN)
-        degenerate = True
-    return mm, radius, hist, degenerate
-
-
-def _claim(tree: SpanningTree, center: int, cfg: PavaConfig, labeled: np.ndarray):
-    """One round's claimed objects, radius and histogram (None if degenerate)."""
-    mm, radius, hist, degenerate = _round_radius(tree, center, cfg)
-    if degenerate:
-        return np.flatnonzero(~labeled), radius, hist
+        return np.flatnonzero(~labeled), radius, None
+    radius = first_valley_radius(hist)
     # Both runs ascend, so the objects inside the radius fill one interval of
     # positions around the center's.
     first = mm.position - int(np.searchsorted(mm.left, radius))
     last = mm.position + int(np.searchsorted(mm.right, radius))
     inside = tree.order[first:last + 1]
     return np.sort(inside[~labeled[inside]]), radius, hist
-
-
-def extract_cluster(tree: SpanningTree, center: int, cfg: PavaConfig, labeled: np.ndarray):
-    """Claim every unlabeled object whose minmax distance to center is < radius.
-
-    The radius comes from the valley pipeline over the distances to all N
-    objects, the center's own 0 included. A degenerate histogram (all
-    distances equal) claims everything still unlabeled. Returns (claimed
-    indices, radius).
-    """
-    if labeled[center]:
-        raise ValueError(f"center {center} is already labeled")
-    claimed, radius, _ = _claim(tree, center, cfg, labeled)
-    return claimed, radius
 
 
 def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
@@ -200,8 +183,8 @@ def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
     target_labeled = (1.0 - cfg.stop_fraction) * n
     while True:
         round_start = time.perf_counter()
-        center = select_center(density, labeled, queue)
-        claimed, radius, hist = _claim(tree, center, cfg, labeled)
+        center = select_center(queue, labeled)
+        claimed, radius, hist = extract_cluster(tree, center, cfg, labeled)
         m = len(rounds) + 1
         labels[claimed] = m
         labeled[claimed] = True

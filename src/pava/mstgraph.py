@@ -85,27 +85,19 @@ class MinmaxVector:
 
     The source sits at ``position``. ``left[i]`` is the distance to the vertex
     at position ``position - 1 - i`` and ``right[j]`` the distance to the one at
-    ``position + 1 + j``; both runs ascend. ``rank`` is the tree's, for ``dist``.
+    ``position + 1 + j``; both runs ascend. The vertex at a position is the
+    tree's ``order`` there.
     """
 
     source: int
     position: int
     left: np.ndarray
     right: np.ndarray
-    rank: np.ndarray
 
     @property
     def runs(self) -> tuple:
         """Every distance as three ascending runs: the source's own 0, left, right."""
         return (np.zeros(1), self.left, self.right)
-
-    @property
-    def dist(self) -> np.ndarray:
-        """Distances by vertex id; O(N), built anew on each access."""
-        by_position = np.zeros(len(self.rank))
-        by_position[:self.position] = self.left[::-1]
-        by_position[self.position + 1:] = self.right
-        return by_position[self.rank]
 
 
 def build_mst(src, mode: str = "exact", knn=None) -> SpanningTree:
@@ -408,15 +400,14 @@ def minmax_from_center(tree: SpanningTree, center: int) -> MinmaxVector:
     their positions in the dendrogram order.
 
     Two prefix-maximum scans outward from the center's position give the
-    distances as two ascending runs, one per side; nothing is gathered by id
-    unless the caller reads ``dist``.
+    distances as two ascending runs, one per side; nothing is gathered by id.
     """
     if not 0 <= center < tree.n:
         raise ValueError(f"center {center} out of range [0, {tree.n})")
     r = int(tree.rank[center])
     left = np.maximum.accumulate(tree.gap[:r][::-1])
     right = np.maximum.accumulate(tree.gap[r:])
-    return MinmaxVector(center, r, left, right, tree.rank)
+    return MinmaxVector(center, r, left, right)
 
 
 def propagate_labels(tree: SpanningTree, labels) -> np.ndarray:

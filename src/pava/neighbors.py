@@ -3,8 +3,8 @@
 The k-distance of an object is the distance to its k-th nearest other object:
 the k-th order statistic of its off-self distance list. Small values mark
 dense regions. Point mode answers queries exactly through a balanced
-multidimensional binary search tree; matrix mode partitions dissimilarity
-rows around their k-th smallest entry.
+multidimensional binary search tree; matrix mode partitions blocks of
+dissimilarity rows, self included, around their (k+1)-th smallest entry.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .dataset import DissimilarityMatrix, PointSet
+
+# Rows of a dissimilarity matrix partitioned at a time, which bounds the
+# k-distance's working copy at this many rows.
+MATRIX_BLOCK_ROWS = 256
 
 
 def query_workers() -> int:
@@ -87,15 +91,15 @@ def k_distance_all(src, k: int, k_graph: int | None = None):
     n = src.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be < N (k={k}, N={n})")
+    # Self is at distance 0, no other distance is smaller, so the (k+1)-th
+    # smallest distance with self equals the k-th smallest without it.
     if isinstance(src, DissimilarityMatrix):
-        values = src.values.copy()
-        np.fill_diagonal(values, np.inf)
-        values.partition(k - 1, axis=1)
-        kdist, lists = values[:, k - 1], None
+        kdist, lists = np.empty(n), None
+        for start in range(0, n, MATRIX_BLOCK_ROWS):
+            rows = slice(start, start + MATRIX_BLOCK_ROWS)
+            kdist[rows] = np.partition(src.values[rows], k, axis=1)[:, k]
     elif isinstance(src, PointSet):
         lists = nearest_lists(src, max(k, k_graph or 0) + 1)
-        # Self is always among the k+1 nearest (distance 0), so the (k+1)-th
-        # smallest with self equals the k-th smallest without it.
         kdist = lists[0][:, k]
     else:
         raise TypeError(f"unsupported source type {type(src).__name__}")

@@ -7,11 +7,10 @@ subtract one from every count (so empty bins drop to -1 and sparse
 between-cluster stretches register as deep valleys), smooth with a shrinking
 moving average, and scan for the first interior valley.
 
-The trim and the histogram take a plain array or a tuple of ascending runs.
-The engine passes the runs a center's minmax distances form in dendrogram
-position space, so a round reads two order statistics off the runs' tails
-and each bin count off binary searches instead of sorting or scanning N
-values; a plain array is sorted into one run first. The threshold is numpy's
+The trim and the histogram take a tuple of ascending runs: the runs a
+center's minmax distances form in dendrogram position space. A round thus
+reads two order statistics off the runs' tails and each bin count off binary
+searches instead of sorting or scanning N values. The threshold is numpy's
 linear percentile and the edges are np.histogram's; bins are half-open, the
 last one closed.
 """
@@ -53,14 +52,6 @@ class DistanceHistogram:
         return float(self.bin_edges[-1])
 
 
-def _ascending_runs(values) -> tuple:
-    """A tuple of ascending float arrays passes through; a plain array is
-    sorted into a single run."""
-    if isinstance(values, tuple):
-        return values
-    return (np.sort(np.asarray(values, dtype=np.float64)),)
-
-
 def _linear_percentile(runs, total: int, p: float) -> float:
     """numpy's ``linear`` percentile of the union of ascending runs, with its
     arithmetic: the two order statistics around (total - 1) * p / 100 are read
@@ -78,39 +69,40 @@ def _linear_percentile(runs, total: int, p: float) -> float:
     return b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
-def cap_percentile(values, p: float = DEFAULT_TRIM_PERCENTILE):
+def cap_percentile(runs: tuple, p: float = DEFAULT_TRIM_PERCENTILE) -> tuple:
     """Keep distances up to the p-th percentile; the tail above it is dropped.
 
-    ``values`` is a plain array, or a tuple of ascending runs (a center's
-    minmax distances in dendrogram position space); a plain array is sorted
-    into one run. Returns the same form: the retained values ascending, or
-    each run cut at the threshold. The threshold is numpy's linear-
-    interpolation percentile, bit for bit. p = 100 keeps everything, and a
-    constant vector passes through untouched.
+    ``runs`` is a tuple of ascending float arrays, such as a center's minmax
+    distances in dendrogram position space; a plain array is a TypeError.
+    Returns each run cut at the threshold, which is numpy's linear-
+    interpolation percentile of the runs' union, bit for bit. p = 100 keeps
+    everything, and a constant vector passes through untouched.
     """
+    if not isinstance(runs, tuple):
+        raise TypeError(f"expected a tuple of ascending runs, got {type(runs).__name__}")
     if not 0.0 < p <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {p}")
-    runs = _ascending_runs(values)
     total = sum(run.size for run in runs)
     if total == 0:
         raise ValueError("empty distance vector")
     threshold = _linear_percentile(runs, total, p)
-    kept = tuple(run[:np.searchsorted(run, threshold, side="right")] for run in runs)
-    return kept if isinstance(values, tuple) else kept[0]
+    return tuple(run[:np.searchsorted(run, threshold, side="right")] for run in runs)
 
 
-def build_histogram(dists, bins: int = DEFAULT_BINS) -> DistanceHistogram:
+def build_histogram(runs: tuple, bins: int = DEFAULT_BINS) -> DistanceHistogram:
     """Equal-width histogram over [min, max] of the retained distances.
 
-    ``dists`` is a plain array or a tuple of ascending runs, as for
-    ``cap_percentile``. The edges are np.histogram's own. Bins are half-open
-    with the last one closed, and every value is counted in the bin its
-    edges give it: per run, the count below each edge is one binary search.
-    shifted_freq is raw_freq - 1, so empty bins carry -1.
+    ``runs`` is a tuple of ascending runs, as for ``cap_percentile``. The
+    edges are np.histogram's own. Bins are half-open with the last one
+    closed, and every value is counted in the bin its edges give it: per run,
+    the count below each edge is one binary search. shifted_freq is
+    raw_freq - 1, so empty bins carry -1.
     """
+    if not isinstance(runs, tuple):
+        raise TypeError(f"expected a tuple of ascending runs, got {type(runs).__name__}")
     if bins < 2:
         raise ValueError(f"need at least 2 bins, got {bins}")
-    runs = [run for run in _ascending_runs(dists) if run.size]
+    runs = [run for run in runs if run.size]
     if not runs:
         raise ValueError("empty distance vector")
     lo = min(float(run[0]) for run in runs)

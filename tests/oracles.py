@@ -318,6 +318,18 @@ def minmax_by_tree_walk(n, edges, source) -> np.ndarray:
     return dist
 
 
+def minmax_by_id(tree, source: int) -> np.ndarray:
+    """The library's minmax distances from ``source``, placed by vertex id:
+    its two runs and the source's own 0 in dendrogram position order, the
+    vertex at position i being ``tree.order[i]``."""
+    from pava.mstgraph import minmax_from_center
+
+    mm = minmax_from_center(tree, source)
+    dist = np.empty(tree.n)
+    dist[tree.order] = np.concatenate([mm.left[::-1], [0.0], mm.right])
+    return dist
+
+
 def claim_reference(tree, center: int, labeled, trim_percentile: float, bins: int,
                     smooth_window: int):
     """One extraction round by id, as the engine ran it before it worked in

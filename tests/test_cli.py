@@ -262,6 +262,16 @@ class TestSweep:
             assert "positive" in captured.err
             assert captured.out == ""
 
+    def test_k_at_least_n_exit_2_before_any_run(self, moons_files, monkeypatch, capsys):
+        pf, _ = moons_files
+        runs = []
+        monkeypatch.setattr("pava.cli.run", lambda *args: runs.append(args))
+        assert main(["sweep", str(pf), "--k-values", "5,700"]) == 2
+        assert runs == []
+        captured = capsys.readouterr()
+        assert "k must be < N (k=700, N=600)" in captured.err
+        assert captured.out == ""
+
     def test_repeats_row_count(self, moons_files, capsys):
         pf, _ = moons_files
         assert main(["sweep", str(pf), "--k-values", "6,7", "--repeats", "2"]) == 0

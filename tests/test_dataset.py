@@ -49,6 +49,11 @@ class TestDissimilarityMatrix:
         with pytest.raises(ValueError, match="diagonal"):
             DissimilarityMatrix(np.array([[0.5, 1.0], [1.0, 0.0]]))
 
+    def test_rejects_fewer_than_two_objects(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match=f"need at least 2 objects, got {n}"):
+                DissimilarityMatrix(np.zeros((n, n)))
+
 
 class TestLoadPointsCsv:
     def test_plain_three_rows(self, tmp_path):

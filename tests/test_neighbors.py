@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pava import neighbors
 from pava.dataset import DissimilarityMatrix, PointSet
 from pava.neighbors import build_index, default_k, k_distance_all, query_workers
 
@@ -96,6 +99,33 @@ class TestKDistanceAll:
             from_points = k_distance_all(PointSet(coords), k).kdist
             from_matrix = k_distance_all(matrix, k).kdist
             assert np.array_equal(from_points, from_matrix)
+
+    def test_matrix_k_distance_reads_row_blocks_in_place(self):
+        # Integer dissimilarities tie often and off-diagonal zeros are
+        # duplicates; the largest N spans more than one block of rows.
+        rng = np.random.default_rng(29)
+        matrices = [np.zeros((5, 5)), 1.0 - np.eye(7)]
+        for n in (2, 3, 40, neighbors.MATRIX_BLOCK_ROWS + 45):
+            upper = np.triu(rng.integers(0, 4, (n, n)).astype(float), 1)
+            matrices.append(upper + upper.T)
+        for values in matrices:
+            matrix = DissimilarityMatrix(values)
+            before = matrix.values.copy()
+            for k in range(1, matrix.n):
+                assert np.array_equal(k_distance_all(matrix, k).kdist, kdist_bruteforce(values, k))
+            assert np.array_equal(matrix.values, before)
+
+    def test_matrix_k_distance_makes_no_full_copy(self):
+        n = 1500
+        coords = np.random.default_rng(31).normal(size=(n, 2))
+        matrix = DissimilarityMatrix(euclidean_matrix(coords))
+        tracemalloc.start()
+        try:
+            k_distance_all(matrix, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
     def test_duplicates_give_zero(self):
         p = PointSet(np.array([[0.0, 0.0], [0.0, 0.0], [9.0, 9.0]]))

@@ -16,8 +16,18 @@ from pava.valley import (
 from oracles import bin_counts_scalar, moving_average_scalar, percentile_linear
 
 
+def _runs(values):
+    """Values as the single ascending run the trim and the histogram take."""
+    return (np.sort(np.asarray(values, dtype=np.float64)),)
+
+
+def _kept(values, p):
+    """The values cap_percentile retains, ascending."""
+    return np.concatenate(cap_percentile(_runs(values), p))
+
+
 def _full_pipeline_radius(values, bins=200, window=5, p=99.0):
-    return first_valley_radius(smooth_profile(build_histogram(cap_percentile(values, p), bins), window))
+    return first_valley_radius(smooth_profile(build_histogram(cap_percentile(_runs(values), p), bins), window))
 
 
 def _hist_from_smoothed(smoothed):
@@ -34,7 +44,7 @@ class TestCapPercentile:
     def test_one_to_hundred_drops_only_the_top(self):
         values = np.arange(1.0, 101.0)
         threshold = percentile_linear(values, 99.0)
-        retained = cap_percentile(values, 99.0)
+        retained = _kept(values, 99.0)
         assert retained.size == 99
         assert retained.max() <= threshold
         assert 100.0 not in retained
@@ -43,7 +53,7 @@ class TestCapPercentile:
         rng = np.random.default_rng(31)
         values = rng.uniform(0, 10, 173)
         for p in (50.0, 90.0, 99.0):
-            kept = cap_percentile(values, p)
+            kept = _kept(values, p)
             threshold = percentile_linear(values, p)
             assert np.all(kept <= threshold + 1e-12)
             dropped = values[~np.isin(values, kept)]
@@ -52,56 +62,64 @@ class TestCapPercentile:
     def test_constant_vector_passthrough(self):
         values = np.array([5.0, 5.0, 5.0, 5.0])
         for p in (1.0, 50.0, 99.0):
-            assert cap_percentile(values, p).size == 4
+            assert _kept(values, p).size == 4
 
     def test_p_100_keeps_everything(self):
         values = np.arange(10.0)
-        assert cap_percentile(values, 100.0).size == 10
+        assert _kept(values, 100.0).size == 10
 
     def test_rejects_bad_percentile(self):
         with pytest.raises(ValueError):
-            cap_percentile(np.arange(4.0), 0.0)
+            cap_percentile(_runs(np.arange(4.0)), 0.0)
+
+    def test_rejects_a_plain_array(self):
+        with pytest.raises(TypeError, match="runs"):
+            cap_percentile(np.arange(4.0), 50.0)
 
 
 class TestBuildHistogram:
     def test_four_values_four_bins(self):
-        h = build_histogram(np.array([0.0, 1.0, 2.0, 3.0]), bins=4)
+        h = build_histogram(_runs(np.array([0.0, 1.0, 2.0, 3.0])), bins=4)
         assert h.raw_freq.tolist() == [1, 1, 1, 1]
         assert h.shifted_freq.tolist() == [0, 0, 0, 0]
 
     def test_skewed_two_bins(self):
-        h = build_histogram(np.array([0.0, 0.0, 0.0, 10.0]), bins=2)
+        h = build_histogram(_runs(np.array([0.0, 0.0, 0.0, 10.0])), bins=2)
         assert h.raw_freq.tolist() == [3, 1]
         assert h.shifted_freq.tolist() == [2, 0]
 
     def test_counts_match_scalar_binning_oracle(self):
         rng = np.random.default_rng(37)
         values = rng.uniform(0, 1, 1000)
-        h = build_histogram(values, bins=200)
+        h = build_histogram(_runs(values), bins=200)
         ref = bin_counts_scalar(values, 200, values.min(), values.max())
         assert np.array_equal(h.raw_freq, ref)
         assert h.raw_freq.sum() == 1000
 
     def test_equal_bin_widths(self):
-        h = build_histogram(np.random.default_rng(0).uniform(0, 3, 500), bins=77)
+        h = build_histogram(_runs(np.random.default_rng(0).uniform(0, 3, 500)), bins=77)
         widths = np.diff(h.bin_edges)
         assert np.allclose(widths, widths[0], rtol=1e-12)
 
     def test_degenerate_signal(self):
         with pytest.raises(DegenerateHistogramError):
-            build_histogram(np.array([2.0, 2.0, 2.0]), bins=10)
+            build_histogram(_runs(np.array([2.0, 2.0, 2.0])), bins=10)
 
     def test_range_too_narrow_for_the_bins(self):
         # [0, 5e-324] spans one subnormal step: no two of 201 edges differ.
         with pytest.raises(DegenerateHistogramError):
-            build_histogram(np.array([0.0, 5e-324]), bins=200)
+            build_histogram(_runs(np.array([0.0, 5e-324])), bins=200)
         # 1e-320 is about 2000 subnormal steps, enough for 3 bins.
-        h = build_histogram(np.array([0.0, 1e-320]), bins=3)
+        h = build_histogram(_runs(np.array([0.0, 1e-320])), bins=3)
         assert h.raw_freq.tolist() == [1, 0, 1]
 
     def test_too_few_bins(self):
         with pytest.raises(ValueError, match="bins"):
-            build_histogram(np.arange(5.0), bins=1)
+            build_histogram(_runs(np.arange(5.0)), bins=1)
+
+    def test_rejects_a_plain_array(self):
+        with pytest.raises(TypeError, match="runs"):
+            build_histogram(np.arange(5.0), bins=4)
 
 
 @st.composite
@@ -135,7 +153,7 @@ class TestAscendingRuns:
         kept = cap_percentile(runs, p)
         assert len(kept) == len(runs)
         assert np.array_equal(np.sort(np.concatenate(kept)), np.sort(values[values <= threshold]))
-        assert np.array_equal(cap_percentile(values, p), np.sort(values[values <= threshold]))
+        assert np.array_equal(cap_percentile(_runs(values), p)[0], np.sort(values[values <= threshold]))
 
     @given(_value_runs(), st.sampled_from([2, 3, 7, 200]))
     @settings(max_examples=400, deadline=None)
@@ -152,7 +170,7 @@ class TestAscendingRuns:
         # Half-open bins, the last one closed, read off the edges themselves.
         below = [np.count_nonzero(values < e) for e in edges[:-1]] + [values.size]
         assert np.array_equal(h.raw_freq, np.diff(below))
-        assert np.array_equal(build_histogram(values, bins).raw_freq, h.raw_freq)
+        assert np.array_equal(build_histogram(_runs(values), bins).raw_freq, h.raw_freq)
         if hi - lo >= np.finfo(np.float64).tiny:
             # Over a subnormal range np.histogram's index arithmetic can put
             # a value in a bin its own edges do not give; elsewhere it agrees.
@@ -164,12 +182,12 @@ class TestAscendingRuns:
 
 class TestSmoothProfile:
     def test_constant_preserved(self):
-        h = build_histogram(np.array([0.0, 1.0, 2.0, 3.0, 4.0]), bins=5)
+        h = build_histogram(_runs(np.array([0.0, 1.0, 2.0, 3.0, 4.0])), bins=5)
         sm = smooth_profile(h, 5).smoothed_freq
         assert sm.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_shrinking_window_spike(self):
-        h = build_histogram(np.array([2.0] + [0.0, 1.0, 3.0, 4.0]), bins=5)
+        h = build_histogram(_runs(np.array([2.0] + [0.0, 1.0, 3.0, 4.0])), bins=5)
         # shifted = [0, 0, 10, 0, 0] is hand-built below instead
         base = DistanceHistogram(h.bin_edges, h.bin_centers,
                                  np.array([1, 1, 11, 1, 1]), np.array([0, 0, 10, 0, 0]))
@@ -178,7 +196,7 @@ class TestSmoothProfile:
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(41)
-        h = build_histogram(rng.uniform(0, 1, 300), bins=64)
+        h = build_histogram(_runs(rng.uniform(0, 1, 300)), bins=64)
         for window in (1, 3, 5, 9):
             sm = smooth_profile(h, window).smoothed_freq
             ref = moving_average_scalar(h.shifted_freq.tolist(), window)
@@ -186,14 +204,14 @@ class TestSmoothProfile:
 
     def test_interior_average_is_window_mean(self):
         rng = np.random.default_rng(43)
-        h = build_histogram(rng.uniform(0, 1, 500), bins=50)
+        h = build_histogram(_runs(rng.uniform(0, 1, 500)), bins=50)
         sm = smooth_profile(h, 5).smoothed_freq
         y = h.shifted_freq
         for i in range(2, 48):
             assert sm[i] == pytest.approx(y[i - 2 : i + 3].sum() / 5.0, rel=1e-12)
 
     def test_even_window_rejected(self):
-        h = build_histogram(np.arange(5.0), bins=5)
+        h = build_histogram(_runs(np.arange(5.0)), bins=5)
         with pytest.raises(ValueError, match="odd"):
             smooth_profile(h, 4)
 
@@ -215,7 +233,7 @@ class TestFirstValleyRadius:
         assert first_valley_radius(h) == h.bin_centers[1]
 
     def test_unsmoothed_histogram_rejected(self):
-        h = build_histogram(np.arange(6.0), bins=3)
+        h = build_histogram(_runs(np.arange(6.0)), bins=3)
         with pytest.raises(ValueError, match="smooth"):
             first_valley_radius(h)
 
