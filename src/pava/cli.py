@@ -31,6 +31,11 @@ from .neighbors import default_k, k_distance_all, query_workers  # noqa: F401 (t
 
 REPORT_SCHEMA = 1
 
+MST_HELP = ("tree for point sets: exact (the canonical minimum spanning tree, by Kruskal "
+            "over sorted neighbours in 1-D or Delaunay edges in 2-D, else dense Prim) or "
+            "approximate (kNN-graph Kruskal plus a component stitch); a --matrix input "
+            "always gets the exact tree")
+
 
 class UsageError(ValueError):
     """Bad arguments or unusable input files; maps to exit code 2."""
@@ -81,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="provenance seed echoed into the output rows")
     p_sweep.add_argument("--labels-true", help="ground-truth labels CSV for the metric columns")
     p_sweep.add_argument("--no-adjust", action="store_true")
-    p_sweep.add_argument("--mst", choices=("exact", "approximate"), default="exact")
+    p_sweep.add_argument("--mst", choices=("exact", "approximate"), default="exact", help=MST_HELP)
     p_sweep.add_argument("--out", help="write the CSV table here instead of stdout")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -97,7 +102,8 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bins", type=int, default=defaults.bins)
     parser.add_argument("--smooth-window", type=int, default=defaults.smooth_window)
     parser.add_argument("--percentile", type=float, default=defaults.trim_percentile)
-    parser.add_argument("--mst", choices=("exact", "approximate"), default=defaults.mst_mode)
+    parser.add_argument("--mst", choices=("exact", "approximate"), default=defaults.mst_mode,
+                        help=MST_HELP)
     parser.add_argument("--min-unlabeled", type=int, default=defaults.min_unlabeled)
 
 

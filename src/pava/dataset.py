@@ -64,14 +64,17 @@ class DissimilarityMatrix:
         if np.any(values < 0):
             raise ValueError("matrix contains negative entries")
         tol = SYMMETRY_RTOL * max(values.max(), 1.0)
-        if np.abs(values - values.T).max() > tol:
+        # One N x N buffer serves the symmetry check and then the result.
+        out = np.subtract(values, values.T)
+        if np.abs(out, out=out).max() > tol:
             raise ValueError("matrix is not symmetric within tolerance")
         if np.abs(np.diag(values)).max() > tol:
             raise ValueError("matrix diagonal is not zero")
         # Canonicalize: exact symmetry, exact zero diagonal.
-        values = (values + values.T) / 2.0
-        np.fill_diagonal(values, 0.0)
-        object.__setattr__(self, "values", values)
+        np.add(values, values.T, out=out)
+        np.divide(out, 2.0, out=out)
+        np.fill_diagonal(out, 0.0)
+        object.__setattr__(self, "values", out)
 
     @property
     def n(self) -> int:

@@ -20,7 +20,7 @@ import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import Delaunay, QhullError, cKDTree
 
 from .dataset import PointSet
 from .neighbors import DensityProfile, default_k, nearest_lists
@@ -103,11 +103,16 @@ class MinmaxVector:
 def build_mst(src, mode: str = "exact", knn=None) -> SpanningTree:
     """Minimum spanning tree of the complete dissimilarity graph.
 
-    exact: dense Prim from vertex 0, O(N^2) time and O(N) memory. Each step
-    computes distances only to the vertices still outside the tree, held in
-    compacted arrays. The lightest edge into the tree is taken next, the
-    smallest vertex id among equal weights, and an equal-weight update keeps
-    the smaller parent id.
+    exact: the unique minimum spanning tree under the edge order (w, min(u, v),
+    max(u, v)), as rows u < v in that order; ties in weight never leave a
+    choice to the builder, so a point set and its dissimilarity matrix give
+    the same tree.
+
+    - A PointSet of dimension 1 or 2: Kruskal over a candidate graph that
+      holds that tree (``_kruskal_candidates``).
+    - A DissimilarityMatrix, a PointSet of dimension 3 or more, or a 2-D
+      point set whose distinct sites Qhull cannot triangulate: dense Prim
+      from vertex 0 (``_prim_exact``), O(N^2) time and O(N) memory.
 
     approximate, on a PointSet: the forest Kruskal builds from each point's
     k_graph = ``approx_k_graph(N)`` nearest neighbours, in (w, u, v) order,
@@ -124,9 +129,73 @@ def build_mst(src, mode: str = "exact", knn=None) -> SpanningTree:
     """
     if mode == "approximate" and isinstance(src, PointSet):
         return _kruskal_knn(src, knn)
+    if mode == "exact" and isinstance(src, PointSet) and src.dim <= 2:
+        return _kruskal_candidates(src)
     if mode in ("exact", "approximate"):
         return _prim_exact(src)
     raise ValueError(f"unknown MST mode {mode!r}")
+
+
+def _column_distances(a, b, out, scratch):
+    """Euclidean distances between the rows of ``a`` and ``b`` (one row, or
+    one per row of ``a``) into ``out``. The squared coordinate differences are
+    added column by column, which repeats numpy's left-to-right row sum for
+    rows shorter than _PAIRWISE_SUM_D bit for bit."""
+    np.subtract(a[:, 0], b[..., 0], out=out)
+    np.multiply(out, out, out=out)
+    for c in range(1, a.shape[1]):
+        np.subtract(a[:, c], b[..., c], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        np.add(out, scratch, out=out)
+    return np.sqrt(out, out=out)
+
+
+def _kruskal_candidates(p: PointSet) -> SpanningTree:
+    """Exact tree of a 1-D or 2-D point set by Kruskal over candidate edges.
+
+    Equal points form one site, named by its smallest id. The candidates are
+    a zero-weight edge from every other point to its site's name, and edges
+    between site names: consecutive sites in sorted order in 1-D, the
+    Delaunay triangulation's edges over the sites in 2-D (Shamos & Hoey
+    1975). No other site lies in the closed disc whose diameter is an edge
+    of any minimum spanning tree of the sites, since such a site would make
+    that edge the strict maximum of a triangle; so that edge is in every
+    Delaunay triangulation, and Kruskal over the candidates in (w, u, v)
+    order picks the canonical tree. (That holds in exact arithmetic. Where
+    two sites lie within about 1e-8 of an edge's length of each other,
+    rounding can give two different distances one computed weight, and the
+    tree there may be another one of the same weights.) Collinear sites,
+    fewer than three, or sites Qhull leaves out of the triangulation
+    (``coplanar``) go to the dense Prim instead.
+    """
+    x = p.coords
+    order = np.lexsort(x.T[::-1])  # equal points adjacent, ids ascending
+    xs = x[order]
+    first = np.append(True, np.any(xs[1:] != xs[:-1], axis=1))
+    name = order[first]  # each site's smallest id, in sorted order
+    copies = ~first
+    dup_u = name[np.cumsum(first)[copies] - 1]
+    if p.dim == 1:
+        a, b = name[:-1], name[1:]
+    else:
+        try:
+            tri = Delaunay(xs[first])
+        except QhullError:
+            return _prim_exact(p)
+        if tri.coplanar.size:
+            return _prim_exact(p)
+        start, near = tri.vertex_neighbor_vertices
+        del tri
+        site = np.repeat(np.arange(len(name)), np.diff(start))
+        one_way = site < near
+        a, b = name[site[one_way]], name[near[one_way]]
+    u = np.concatenate([dup_u, np.minimum(a, b)])
+    v = np.concatenate([order[copies], np.maximum(a, b)])
+    w = _column_distances(x[u], x[v], np.empty(len(u)), np.empty(len(u)))
+    by_key = np.lexsort((v, u, w))
+    u, v, w = u[by_key], v[by_key], w[by_key]
+    picked, _ = _knn_forest(p.n, u, v)
+    return SpanningTree(p.n, u[picked], v[picked], w[picked], "raw")
 
 
 def _prim_exact(src) -> SpanningTree:
@@ -134,7 +203,11 @@ def _prim_exact(src) -> SpanningTree:
 
     Slots [0, m) of ``rest``, ``best`` and ``parent`` hold those vertices, the
     weight of their lightest edge into the tree and its tree end; the vertex
-    taken into the tree leaves its slot to the one in slot m - 1.
+    taken into the tree leaves its slot to the one in slot m - 1. Edges are
+    ordered by (w, min, max): a slot's edge is replaced by an equal-weight
+    one only from a smaller tree end, and among equal keys the slot with the
+    smallest (min(parent, v), max(parent, v)) joins. Returns the edges as
+    rows u < v in (w, u, v) order.
     """
     n = src.n
     rest = np.arange(1, n)
@@ -158,16 +231,9 @@ def _prim_exact(src) -> SpanningTree:
         if not points:
             np.take(src.values[u], r, out=d)
         elif dim < _PAIRWISE_SUM_D:
-            # Adding column by column repeats numpy's left-to-right row sum
-            # bit for bit; a row sum over rows this short made rings-exact's
-            # cluster_s 2.6x slower.
-            np.subtract(kept[:m, 0], x[u, 0], out=d)
-            np.multiply(d, d, out=d)
-            for c in range(1, dim):
-                np.subtract(kept[:m, c], x[u, c], out=s)
-                np.multiply(s, s, out=s)
-                np.add(d, s, out=d)
-            np.sqrt(d, out=d)
+            # A row sum over rows this short made the tree of the 2-D
+            # rings-exact input 2.6x slower than adding column by column.
+            _column_distances(kept[:m], x[u], d, s)
         else:
             diff = kept[:m] - x[u]
             np.sqrt((diff * diff).sum(axis=1), out=d)
@@ -178,11 +244,13 @@ def _prim_exact(src) -> SpanningTree:
         np.logical_or(lt, eq, out=lt)
         np.copyto(b, d, where=lt)
         np.copyto(p, u, where=lt)
-        # The lightest edge into the tree; equal weights take the smallest id.
+        # The lightest edge into the tree; equal weights take the smallest
+        # (min, max) of the edge.
         j = int(np.argmin(b))
         if np.count_nonzero(np.equal(b, b[j], out=eq)) > 1:
             ties = np.flatnonzero(eq)
-            j = int(ties[np.argmin(r[ties])])
+            ends = p[ties], r[ties]
+            j = int(ties[np.lexsort((np.maximum(*ends), np.minimum(*ends)))[0]])
         i = n - 1 - m
         edge_u[i], edge_v[i], edge_w[i] = p[j], r[j], b[j]
         u = int(r[j])
@@ -190,7 +258,9 @@ def _prim_exact(src) -> SpanningTree:
         r[j], b[j], p[j] = r[last], b[last], p[last]
         if points:
             kept[j] = kept[last]
-    return SpanningTree(n, edge_u, edge_v, edge_w, "raw")
+    low, high = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
+    ranked = np.lexsort((high, low, edge_w))
+    return SpanningTree(n, low[ranked], high[ranked], edge_w[ranked], "raw")
 
 
 def approx_k_graph(n: int) -> int:

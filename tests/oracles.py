@@ -117,11 +117,31 @@ def _row_distances(src, i: int) -> np.ndarray:
     return src.values[i]
 
 
+def canonical_mst(src):
+    """The unique minimum spanning tree under the edge order (w, min id,
+    max id): Kruskal over every pair in that order, weighted by
+    ``_row_distances``; as edge arrays (u, v, w) with u < v, in that order."""
+    n = src.n
+    pairs = sorted((w, i, j) for i in range(n)
+                   for j, w in enumerate(_row_distances(src, i)[i + 1:].tolist(), i + 1))
+    uf = _UnionFind(n)
+    edge_u, edge_v, edge_w = [], [], []
+    for w, i, j in pairs:
+        if uf.union(i, j):
+            edge_u.append(i)
+            edge_v.append(j)
+            edge_w.append(w)
+    return (np.array(edge_u, dtype=np.int64), np.array(edge_v, dtype=np.int64),
+            np.array(edge_w, dtype=np.float64))
+
+
 def prim_reference(src):
-    """Dense Prim with full-length passes per vertex, as edge arrays (u, v, w).
+    """Dense Prim with full-length passes per vertex, as edge arrays (u, v, w)
+    in the order the vertices join.
 
     Equal keys go to the smallest vertex id and an equal-weight update keeps
-    the smaller parent id: the tie rule the library's exact tree must follow.
+    the smaller parent id. On input without equal distances that is the
+    canonical tree, and its weights pin the distance formula bit for bit.
     """
     n = src.n
     in_tree = np.zeros(n, dtype=bool)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,27 @@ class TestDissimilarityMatrix:
         for n in (0, 1):
             with pytest.raises(ValueError, match=f"need at least 2 objects, got {n}"):
                 DissimilarityMatrix(np.zeros((n, n)))
+
+    def test_canonical_values_use_one_n_by_n_buffer(self):
+        # Separate temporaries for the difference, its absolute value and the
+        # symmetric sum peaked at about 2 * N^2 * 8 bytes.
+        n = 1500
+        rng = np.random.default_rng(3)
+        values = euclidean_matrix(rng.normal(size=(n, 2)))
+        values *= 1.0 + rng.uniform(-1e-12, 1e-12, size=(n, n))
+        values[np.diag_indices(n)] = rng.uniform(0.0, 1e-12, size=n)
+        before = values.copy()
+        tracemalloc.start()
+        try:
+            d = DissimilarityMatrix(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+        assert np.array_equal(values, before)
+        want = (before + before.T) / 2.0
+        np.fill_diagonal(want, 0.0)
+        assert np.array_equal(d.values, want)
 
 
 class TestLoadPointsCsv:

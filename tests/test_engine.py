@@ -13,7 +13,7 @@ from pava.mstgraph import SpanningTree, adjust_weights, approx_k_graph, build_ms
 from pava.neighbors import default_k, k_distance_all
 
 from oracles import claim_reference, euclidean_matrix, kruskal_knn_reference
-from test_mstgraph import _degenerate_sources
+from test_mstgraph import _degenerate_sources, _tied_points, _time_bound
 
 
 def _queue(kdist):
@@ -338,9 +338,21 @@ class TestRun:
         # Every such input is valid, so each configuration must cluster it.
         for mst_mode in ("exact", "approximate"):
             for use_adjusted in (True, False):
-                model = run(src, PavaConfig(mst_mode=mst_mode, use_adjusted=use_adjusted))
+                with _time_bound():
+                    model = run(src, PavaConfig(mst_mode=mst_mode, use_adjusted=use_adjusted))
                 assert len(model.labels) == src.n
                 assert np.array_equal(np.unique(model.labels), np.arange(1, model.m + 1))
+
+    @given(_tied_points())
+    @settings(max_examples=60, deadline=None)
+    def test_points_and_their_matrix_cluster_alike(self, coords):
+        # Both forms build the canonical tree, so equal distances cannot
+        # send them to different trees.
+        with _time_bound():
+            a = run(PointSet(coords))
+            b = run(DissimilarityMatrix(euclidean_matrix(coords)))
+        assert np.array_equal(a.labels, b.labels)
+        assert [r.radius for r in a.rounds] == [r.radius for r in b.rounds]
 
 
 class TestPavaConfig:

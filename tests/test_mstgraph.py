@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from pava.mstgraph import (
 from pava.neighbors import DensityProfile, nearest_lists
 
 from oracles import (
+    canonical_mst,
     euclidean_matrix,
     knn_candidate_list,
     kruskal_forest_reference,
@@ -77,6 +81,52 @@ def _degenerate_sources(draw):
     return DissimilarityMatrix(np.full((n, n), c) - c * np.eye(n))
 
 
+@st.composite
+def _tied_points(draw):
+    """1-D or 2-D coordinates on a small integer lattice, scaled by 1 or 0.05:
+    repeated points, lattice points on common circles and, in 2-D, a
+    collinear run that may hold every point."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(min_value=2, max_value=120))
+    span = draw(st.integers(min_value=1, max_value=8))
+    ints = st.integers(min_value=-span, max_value=span)
+    coords = np.array(draw(st.lists(st.tuples(*[ints] * dim), min_size=n, max_size=n)), float)
+    if dim == 2 and draw(st.booleans()):
+        run = draw(st.integers(min_value=2, max_value=n))
+        step = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1), (3, 4)]))
+        t = np.array(draw(st.lists(ints, min_size=run, max_size=run)), float)
+        coords[:run] = np.outer(t, step) + coords[0]
+    return coords * draw(st.sampled_from([1.0, 0.05]))
+
+
+@contextmanager
+def _time_bound(seconds=5.0):
+    """Fail the enclosed block with TimeoutError once it has run for
+    ``seconds`` of wall time, so a looping example fails instead of stalling
+    the suite. The alarm is checked between Python bytecodes."""
+    def expire(signum, frame):
+        raise TimeoutError(f"example ran longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_edges(tree, ref):
+    for got, want in zip((tree.edge_u, tree.edge_v, tree.edge_w), ref):
+        assert np.array_equal(got, want)
+
+
+def _triples(edge_u, edge_v, edge_w):
+    """Edges as sorted (min id, max id, weight) tuples."""
+    return sorted(zip(np.minimum(edge_u, edge_v).tolist(), np.maximum(edge_u, edge_v).tolist(),
+                      edge_w.tolist()))
+
+
 def _edge_matrix(tree):
     """Dense weight matrix of the tree's edges, inf between non-adjacent vertices."""
     m = np.full((tree.n, tree.n), np.inf)
@@ -135,37 +185,41 @@ class TestBuildMst:
         rng = np.random.default_rng(11)
         coords = np.vstack([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 30.0])
         tied = rng.integers(1, 4, size=(40, 40)).astype(float)
-        sources = [DissimilarityMatrix(euclidean_matrix(coords)),
+        tie_free = DissimilarityMatrix(euclidean_matrix(coords))
+        sources = [tie_free,
                    DissimilarityMatrix(np.triu(tied, 1) + np.triu(tied, 1).T),
                    DissimilarityMatrix(np.full((6, 6), 3.0) - 3.0 * np.eye(6))]
         for m in sources:
-            approx = build_mst(m, "approximate")
-            ref_u, ref_v, ref_w = prim_reference(m)
-            assert np.array_equal(approx.edge_u, ref_u)
-            assert np.array_equal(approx.edge_v, ref_v)
-            assert np.array_equal(approx.edge_w, ref_w)
+            tree = build_mst(m, "approximate")
+            _assert_edges(tree, canonical_mst(m))
+            if m is tie_free:
+                assert _triples(tree.edge_u, tree.edge_v, tree.edge_w) == _triples(*prim_reference(m))
 
-    def test_exact_edges_match_reference_prim(self):
+    def test_exact_edges_match_canonical_mst(self):
         rng = np.random.default_rng(31)
         # d = 8 and 10 sum each row pairwise, d < 8 left to right.
         coords = [rng.normal(size=(n, d)) for d in (1, 2, 3, 7, 8, 10) for n in (2, 3, 60)]
+        tie_free = [PointSet(c) for c in coords]
+        tie_free += [DissimilarityMatrix(euclidean_matrix(c)) for c in coords[:6]]
         grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1).reshape(-1, 3)
-        coords += [grid, np.arange(30.0).reshape(-1, 1) % 4, np.tile(grid[:20, :2], (2, 1)),
-                   np.ones((7, 2)), np.full((5, 8), -2.5)]
-        sources = [PointSet(c) for c in coords]
-        for c in coords[:6]:
-            sources.append(DissimilarityMatrix(euclidean_matrix(c)))
-        sources += [DissimilarityMatrix(np.full((6, 6), 3.0) - 3.0 * np.eye(6)),
-                    DissimilarityMatrix(np.zeros((4, 4)))]
+        square = np.stack(np.meshgrid(*[np.arange(6.0)] * 2), -1).reshape(-1, 2)
+        shuffled = [square[rng.permutation(36)], grid[rng.permutation(64)]]
+        tied = [PointSet(c) for c in [grid, np.arange(30.0).reshape(-1, 1) % 4,
+                                      np.tile(grid[:20, :2], (2, 1)), np.ones((7, 2)),
+                                      np.full((5, 8), -2.5)] + shuffled]
+        tied += [DissimilarityMatrix(euclidean_matrix(c)) for c in shuffled]
+        tied += [DissimilarityMatrix(np.full((6, 6), 3.0) - 3.0 * np.eye(6)),
+                 DissimilarityMatrix(np.zeros((4, 4)))]
         rounded = rng.integers(0, 4, size=(40, 40)).astype(float)
-        sources.append(DissimilarityMatrix(np.triu(rounded, 1) + np.triu(rounded, 1).T))
-        for src in sources:
+        tied.append(DissimilarityMatrix(np.triu(rounded, 1) + np.triu(rounded, 1).T))
+        for src, ties in [(s, False) for s in tie_free] + [(s, True) for s in tied]:
             before = src.coords.copy() if isinstance(src, PointSet) else src.values.copy()
             tree = build_mst(src, "exact")
-            ref_u, ref_v, ref_w = prim_reference(src)
-            assert np.array_equal(tree.edge_u, ref_u)
-            assert np.array_equal(tree.edge_v, ref_v)
-            assert np.array_equal(tree.edge_w, ref_w)
+            _assert_edges(tree, canonical_mst(src))
+            if not ties:
+                # Without equal distances Prim's tree is the canonical one,
+                # and its weights pin the distance formula bit for bit.
+                assert _triples(tree.edge_u, tree.edge_v, tree.edge_w) == _triples(*prim_reference(src))
             after = src.coords if isinstance(src, PointSet) else src.values
             assert np.array_equal(after, before)
 
@@ -319,14 +373,59 @@ class TestBuildMst:
     @given(_degenerate_sources())
     @settings(max_examples=60, deadline=None)
     def test_approximate_tree_spans_degenerate_input(self, src):
-        approx = build_mst(src, "approximate")  # SpanningTree rejects a non-spanning edge set
-        exact = build_mst(src, "exact")
+        with _time_bound():
+            approx = build_mst(src, "approximate")  # SpanningTree rejects a non-spanning edge set
+            exact = build_mst(src, "exact")
         assert len(approx.edge_w) == src.n - 1
         assert approx.total_weight >= exact.total_weight * (1 - 1e-9)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
             build_mst(_points_1d([0, 1]), "fuzzy")
+
+
+class TestExactTreeInLowDimensions:
+    """The exact tree of 1-D and 2-D point sets comes from Kruskal over
+    candidate edges, or from Prim where Qhull cannot triangulate the sites;
+    either way it is the canonical tree of the points and of their matrix."""
+
+    @given(_tied_points())
+    @settings(max_examples=150, deadline=None)
+    def test_points_and_matrix_give_the_canonical_tree(self, coords):
+        with _time_bound():
+            points = PointSet(coords)
+            ref = canonical_mst(points)
+            _assert_edges(build_mst(points, "exact"), ref)
+            _assert_edges(build_mst(DissimilarityMatrix(euclidean_matrix(coords)), "exact"), ref)
+
+    @pytest.mark.parametrize("coords, dense", [
+        ([[0.0], [2.0]], False),
+        ([[1.0, 1.0], [0.0, 2.0]], True),  # two sites: Qhull needs three
+        ([[0.0], [2.0], [1.0]], False),
+        ([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]], False),
+        ([[3.0]] * 5, False),
+        ([[3.0, -1.0]] * 6, True),
+        ([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [1.0, 0.0]], False),
+        ([[0.0, 0.0], [2.0, 1.0], [4.0, 2.0], [2.0, 1.0], [-2.0, -1.0]], True),  # collinear
+        # Qhull leaves the last point, 1e-15 from the one before, out of the
+        # triangulation as coplanar.
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5], [0.5, 0.5 + 1e-15]], True),
+    ])
+    def test_small_and_degenerate_point_sets(self, monkeypatch, coords, dense):
+        calls = []
+
+        def counting_prim(src):
+            calls.append(src.n)
+            return prim_exact(src)
+
+        prim_exact = mstgraph._prim_exact
+        monkeypatch.setattr(mstgraph, "_prim_exact", counting_prim)
+        points = PointSet(np.array(coords))
+        tree = build_mst(points, "exact")
+        assert len(calls) == dense
+        ref = canonical_mst(points)
+        _assert_edges(tree, ref)
+        _assert_edges(build_mst(DissimilarityMatrix(euclidean_matrix(points.coords)), "exact"), ref)
 
 
 class TestAdjustWeights:
