@@ -31,10 +31,9 @@ from .neighbors import default_k, k_distance_all, query_workers  # noqa: F401 (t
 
 REPORT_SCHEMA = 1
 
-MST_HELP = ("tree for point sets: exact (the canonical minimum spanning tree, by Kruskal "
-            "over sorted neighbours in 1-D or Delaunay edges in 2-D, else dense Prim) or "
-            "approximate (kNN-graph Kruskal plus a component stitch); a --matrix input "
-            "always gets the exact tree")
+MST_HELP = ("accepted for compatibility; both values build the canonical minimum spanning "
+            "tree (sorted neighbours in 1-D, Delaunay edges in 2-D, else a certified kNN "
+            "forest plus a component stitch; dense Prim for a --matrix input)")
 
 
 class UsageError(ValueError):

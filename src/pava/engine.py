@@ -26,8 +26,8 @@ from .dataset import DissimilarityMatrix, PointSet
 from .mstgraph import (
     SpanningTree,
     adjust_weights,
-    approx_k_graph,
     build_mst,
+    forest_k_graph,
     minmax_from_center,
     propagate_labels,
 )
@@ -161,11 +161,8 @@ def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    if cfg.mst_mode == "approximate":
-        # One neighbour query serves the density and the tree's candidates.
-        density, knn = k_distance_all(src, k, approx_k_graph(n))
-    else:
-        density, knn = k_distance_all(src, k), None
+    # One neighbour query serves the density and the tree's certified forest.
+    density, knn = k_distance_all(src, k, forest_k_graph(n))
     t1 = time.perf_counter()
     timings["density_s"] = t1 - t0
     raw_tree = build_mst(src, cfg.mst_mode, knn)

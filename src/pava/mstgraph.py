@@ -3,10 +3,12 @@
 The minmax (path) distance between two objects is the smallest possible
 bottleneck: the minimum over all connecting paths of the maximum edge weight
 along the path. On the minimum spanning tree of the complete dissimilarity
-graph, the unique tree path realizes that minimum. A tree also stores the leaf
-order of its own Kruskal dendrogram, in which the minmax distance between the
-leaves at positions i < j is max(gap[i:j]) (Gower & Ross 1969), so a center's
-distances to every object take two prefix-maximum scans.
+graph (one exact builder per input kind: dense Prim for a matrix, Kruskal over
+sorted neighbours, Delaunay edges or a certified kNN forest for points), the
+unique tree path realizes that minimum. A tree's Kruskal dendrogram leaf
+order, read lazily, puts the minmax distance between the leaves at positions
+i < j at max(gap[i:j]) (Gower & Ross 1969), so a center's distances to every
+object take two prefix-maximum scans.
 
 Density adjustment rescales each tree edge to the cube root of
 weight * kdist(u) * kdist(v): edges touching sparse-region vertices (large
@@ -17,7 +19,9 @@ leaving dense regions nearly untouched.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import Delaunay, QhullError, cKDTree
@@ -29,17 +33,15 @@ from .neighbors import DensityProfile, default_k, nearest_lists
 # (kdist = 0) cannot collapse edges between distinct points to weight zero.
 KDIST_FLOOR_REL = 1e-12
 
-APPROX_MIN_NEIGHBORS = 10
-
-# numpy sums a row of at least this many values pairwise, not left to right.
-_PAIRWISE_SUM_D = 8
+# Relative margin far above the rounding between two computations of a distance.
+_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
 class SpanningTree:
-    """Spanning tree over n vertices: n-1 weighted edges, their dendrogram leaf
+    """Spanning tree over n vertices: n-1 weighted edges. Their dendrogram leaf
     ``order``, its inverse ``rank``, and ``gap[i]``, the merge weight between
-    leaves ``order[i]`` and ``order[i + 1]``."""
+    leaves ``order[i]`` and ``order[i + 1]``, are computed on first read."""
 
     n: int
     edge_u: np.ndarray
@@ -61,13 +63,19 @@ class SpanningTree:
             raise ValueError("edge weights must be finite and non-negative")
         if self.kind not in ("raw", "adjusted"):
             raise ValueError(f"unknown tree kind {self.kind!r}")
+        if len(_knn_forest(self.n, edge_u, edge_v)[0]) < self.n - 1:
+            raise ValueError("edges do not form a connected tree")
         object.__setattr__(self, "edge_u", edge_u)
         object.__setattr__(self, "edge_v", edge_v)
         object.__setattr__(self, "edge_w", edge_w)
-        order, gap = _dendrogram_order(self.n, edge_u, edge_v, edge_w)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "rank", np.argsort(order))
-        object.__setattr__(self, "gap", gap)
+
+    @cached_property
+    def _leaves(self):
+        return _dendrogram_order(self.n, self.edge_u, self.edge_v, self.edge_w)
+
+    order = property(lambda self: self._leaves[0])
+    rank = property(lambda self: self._leaves[1])
+    gap = property(lambda self: self._leaves[2])
 
     @property
     def total_weight(self) -> float:
@@ -101,57 +109,37 @@ class MinmaxVector:
 
 
 def build_mst(src, mode: str = "exact", knn=None) -> SpanningTree:
-    """Minimum spanning tree of the complete dissimilarity graph.
+    """Minimum spanning tree of the complete dissimilarity graph: the unique
+    one under the edge order (w, min(u, v), max(u, v)), as rows u < v in that
+    order. Ties in weight never leave a choice to the builder, so a point set
+    and its dissimilarity matrix give the same tree.
 
-    exact: the unique minimum spanning tree under the edge order (w, min(u, v),
-    max(u, v)), as rows u < v in that order; ties in weight never leave a
-    choice to the builder, so a point set and its dissimilarity matrix give
-    the same tree.
+    - A DissimilarityMatrix: dense Prim (``_prim_exact``), O(N^2) time and
+      O(N) memory.
+    - A PointSet: Kruskal over candidate edges (``_kruskal_candidates``):
+      sorted neighbours in 1-D, Delaunay edges in 2-D, else the tree of a
+      kNN forest certified by the cut property, stitched by Prim
+      (``_certified_tree``). ``knn``, the (dists, idx) lists that
+      ``k_distance_all(src, k, forest_k_graph(N))`` returns, saves that
+      forest's neighbour query.
 
-    - A PointSet of dimension 1 or 2: Kruskal over a candidate graph that
-      holds that tree (``_kruskal_candidates``).
-    - A DissimilarityMatrix, a PointSet of dimension 3 or more, or a 2-D
-      point set whose distinct sites Qhull cannot triangulate: dense Prim
-      from vertex 0 (``_prim_exact``), O(N^2) time and O(N) memory.
-
-    approximate, on a PointSet: the forest Kruskal builds from each point's
-    k_graph = ``approx_k_graph(N)`` nearest neighbours, in (w, u, v) order,
-    each component's root being its smallest id; then Prim over that forest's
-    components from vertex 0's. The forest comes from vectorised Borůvka
-    rounds, whose picks are exactly Kruskal's. In the Prim, the outside
-    component with the nearest point (the smallest id among equal distances)
-    joins next, through the earliest-joined of equally near tree vertices;
-    each joined component's kd-tree is queried only by points of components
-    near its bounding box. ``knn``, the (dists, idx) lists returned by
-    ``k_distance_all(src, k, approx_k_graph(N))``, saves the neighbour query;
-    without it the tree asks its own. Always connected. A matrix has already
-    paid O(N^2), so there approximate builds the exact tree.
+    ``mode`` "approximate" is accepted as another name for "exact".
     """
-    if mode == "approximate" and isinstance(src, PointSet):
-        return _kruskal_knn(src, knn)
-    if mode == "exact" and isinstance(src, PointSet) and src.dim <= 2:
-        return _kruskal_candidates(src)
-    if mode in ("exact", "approximate"):
-        return _prim_exact(src)
-    raise ValueError(f"unknown MST mode {mode!r}")
+    if mode not in ("exact", "approximate"):
+        raise ValueError(f"unknown MST mode {mode!r}")
+    if isinstance(src, PointSet):
+        return _kruskal_candidates(src, knn)
+    return _prim_exact(src)
 
 
-def _column_distances(a, b, out, scratch):
-    """Euclidean distances between the rows of ``a`` and ``b`` (one row, or
-    one per row of ``a``) into ``out``. The squared coordinate differences are
-    added column by column, which repeats numpy's left-to-right row sum for
-    rows shorter than _PAIRWISE_SUM_D bit for bit."""
-    np.subtract(a[:, 0], b[..., 0], out=out)
-    np.multiply(out, out, out=out)
-    for c in range(1, a.shape[1]):
-        np.subtract(a[:, c], b[..., c], out=scratch)
-        np.multiply(scratch, scratch, out=scratch)
-        np.add(out, scratch, out=out)
-    return np.sqrt(out, out=out)
+def _distances(x, u, v):
+    """Euclidean distances between rows ``u`` and ``v`` of ``x``: the one
+    formula that weights every point-set edge."""
+    return np.sqrt(((x[u] - x[v]) ** 2).sum(axis=1))
 
 
-def _kruskal_candidates(p: PointSet) -> SpanningTree:
-    """Exact tree of a 1-D or 2-D point set by Kruskal over candidate edges.
+def _kruskal_candidates(p: PointSet, knn) -> SpanningTree:
+    """Exact tree of a point set by Kruskal over candidate edges.
 
     Equal points form one site, named by its smallest id. The candidates are
     a zero-weight edge from every other point to its site's name, and edges
@@ -164,9 +152,9 @@ def _kruskal_candidates(p: PointSet) -> SpanningTree:
     order picks the canonical tree. (That holds in exact arithmetic. Where
     two sites lie within about 1e-8 of an edge's length of each other,
     rounding can give two different distances one computed weight, and the
-    tree there may be another one of the same weights.) Collinear sites,
-    fewer than three, or sites Qhull leaves out of the triangulation
-    (``coplanar``) go to the dense Prim instead.
+    tree there may be another one of the same weights.) Any other sites (3 or
+    more dimensions, or 2-D sites that are collinear, fewer than three, or
+    ``coplanar`` to Qhull) give their own tree by ``_certified_tree``.
     """
     x = p.coords
     order = np.lexsort(x.T[::-1])  # equal points adjacent, ids ascending
@@ -175,31 +163,81 @@ def _kruskal_candidates(p: PointSet) -> SpanningTree:
     name = order[first]  # each site's smallest id, in sorted order
     copies = ~first
     dup_u = name[np.cumsum(first)[copies] - 1]
+    a = None
     if p.dim == 1:
         a, b = name[:-1], name[1:]
-    else:
+    elif p.dim == 2:
         try:
             tri = Delaunay(xs[first])
         except QhullError:
-            return _prim_exact(p)
-        if tri.coplanar.size:
-            return _prim_exact(p)
-        start, near = tri.vertex_neighbor_vertices
-        del tri
-        site = np.repeat(np.arange(len(name)), np.diff(start))
-        one_way = site < near
-        a, b = name[site[one_way]], name[near[one_way]]
+            tri = None
+        if tri is not None and not tri.coplanar.size:
+            start, near = tri.vertex_neighbor_vertices
+            del tri
+            site = np.repeat(np.arange(len(name)), np.diff(start))
+            one_way = site < near
+            a, b = name[site[one_way]], name[near[one_way]]
+    certified = a is None
+    if certified:
+        a, b = _certified_tree(x, np.sort(name), knn)
     u = np.concatenate([dup_u, np.minimum(a, b)])
     v = np.concatenate([order[copies], np.maximum(a, b)])
-    w = _column_distances(x[u], x[v], np.empty(len(u)), np.empty(len(u)))
+    w = _distances(x, u, v)
     by_key = np.lexsort((v, u, w))
     u, v, w = u[by_key], v[by_key], w[by_key]
-    picked, _ = _knn_forest(p.n, u, v)
-    return SpanningTree(p.n, u[picked], v[picked], w[picked], "raw")
+    if not certified:
+        picked, _ = _knn_forest(p.n, u, v)
+        u, v, w = u[picked], v[picked], w[picked]
+    return SpanningTree(p.n, u, v, w, "raw")
+
+
+def _certified_tree(x, names, knn):
+    """Canonical tree of the distinct points ``x[names]``, ``names``
+    ascending, as its edges' ends (a, b) in names.
+
+    Every listed neighbour pair is a candidate edge. By the cut property the
+    lightest edge leaving a component, under the order (w, min, max), is in
+    the tree. A point lists every point nearer than its last listed distance,
+    so an edge it does not list weighs at least that much. A component's
+    lightest crossing candidate is therefore certified when it is strictly
+    lighter than that bound at each member whose own lightest crossing
+    candidate is not. ``_knn_forest`` takes certified picks in Borůvka rounds
+    (March, Ram & Gray 2010 certify the same way over a dual tree), and
+    ``_stitch`` joins the forest's components by Prim.
+
+    ``knn`` are ``nearest_lists``' (dists, idx) over every row of ``x``; they
+    serve only when ``names`` holds every row. Otherwise, or without them,
+    the sites get their own query of ``forest_k_graph`` + 1 columns.
+    """
+    s = len(names)
+    if s < 2:
+        return names[:0], names[:0]
+    sites = x[names] if s < len(x) else x
+    if knn is None or s < len(x):
+        knn = nearest_lists(PointSet(sites), forest_k_graph(s) + 1)
+    elif knn[1].shape[0] != s:
+        raise ValueError(f"expected neighbour lists for {s} points, got {knn[1].shape[0]}")
+    dists, idx = knn
+    rows = np.repeat(np.arange(s), idx.shape[1] - 1)
+    cols = idx[:, 1:].ravel()
+    u, v = np.minimum(rows, cols), np.maximum(rows, cols)
+    w = _distances(sites, u, v)
+    pair = u * s + v  # orders pairs as (u, v) does
+    by_key = np.lexsort((pair, w))
+    u, v, w, pair = u[by_key], v[by_key], w[by_key], pair[by_key]
+    keep = np.append(True, pair[1:] != pair[:-1])  # drop the repeat of each mutual pair
+    u, v, w = u[keep], v[keep], w[keep]
+    picked, comp = _knn_forest(s, u, v, w, dists[:, -1] * (1 - _SLACK))
+    a, b = u[picked], v[picked]
+    if len(picked) < s - 1:
+        more_a, more_b = _stitch(sites, comp)
+        a, b = np.concatenate([a, more_a]), np.concatenate([b, more_b])
+    return names[a], names[b]
 
 
 def _prim_exact(src) -> SpanningTree:
-    """Prim from vertex 0 over the m vertices still outside the tree.
+    """Prim over a DissimilarityMatrix from vertex 0 over the m vertices
+    still outside the tree.
 
     Slots [0, m) of ``rest``, ``best`` and ``parent`` hold those vertices, the
     weight of their lightest edge into the tree and its tree end; the vertex
@@ -213,30 +251,16 @@ def _prim_exact(src) -> SpanningTree:
     rest = np.arange(1, n)
     best = np.full(n - 1, np.inf)
     parent = np.full(n - 1, n, dtype=np.int64)
-    du, sq = np.empty(n - 1), np.empty(n - 1)
+    du = np.empty(n - 1)
     lighter, tie, later = (np.empty(n - 1, dtype=bool) for _ in range(3))
     edge_u = np.empty(n - 1, dtype=np.int64)
     edge_v = np.empty(n - 1, dtype=np.int64)
     edge_w = np.empty(n - 1)
-    points = isinstance(src, PointSet)
-    if points:
-        x, dim = src.coords, src.dim
-        # A copy, never a view of the caller's points: its rows are swapped.
-        # For dim < _PAIRWISE_SUM_D each coordinate is a contiguous column.
-        kept = np.array(x[1:], order="F" if dim < _PAIRWISE_SUM_D else "C")
     u = 0
     for m in range(n - 1, 0, -1):
-        d, s, b, p, r = du[:m], sq[:m], best[:m], parent[:m], rest[:m]
+        d, b, p, r = du[:m], best[:m], parent[:m], rest[:m]
         lt, eq, gt = lighter[:m], tie[:m], later[:m]
-        if not points:
-            np.take(src.values[u], r, out=d)
-        elif dim < _PAIRWISE_SUM_D:
-            # A row sum over rows this short made the tree of the 2-D
-            # rings-exact input 2.6x slower than adding column by column.
-            _column_distances(kept[:m], x[u], d, s)
-        else:
-            diff = kept[:m] - x[u]
-            np.sqrt((diff * diff).sum(axis=1), out=d)
+        np.take(src.values[u], r, out=d)
         # A tie on weight keeps the smaller parent id.
         np.less(d, b, out=lt)
         np.equal(d, b, out=eq)
@@ -256,42 +280,20 @@ def _prim_exact(src) -> SpanningTree:
         u = int(r[j])
         last = m - 1
         r[j], b[j], p[j] = r[last], b[last], p[last]
-        if points:
-            kept[j] = kept[last]
     low, high = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
     ranked = np.lexsort((high, low, edge_w))
     return SpanningTree(n, low[ranked], high[ranked], edge_w[ranked], "raw")
 
 
-def approx_k_graph(n: int) -> int:
-    """Neighbour count of the approximate tree's kNN graph: max(ceil(ln n), 10),
-    at most n - 1."""
-    return min(max(default_k(n), APPROX_MIN_NEIGHBORS), n - 1)
-
-
-def _candidate_knn_edges(knn, k_graph: int):
-    """kNN pairs as (min id, max id, distance) in (w, u, v) order, from the
-    first k_graph + 1 columns of ``nearest_lists``' (dists, idx). Column 0 is
-    the row itself and no later column is, so every row gives k_graph pairs."""
-    dists, idx = knn
-    n = len(idx)
-    rows = np.repeat(np.arange(n), k_graph)
-    cols = idx[:, 1:k_graph + 1].ravel()
-    weights = dists[:, 1:k_graph + 1].ravel()
-    u = np.minimum(rows, cols)
-    v = np.maximum(rows, cols)
-    # u * n + v orders pairs as (u, v) does.
-    pair = u * n + v
-    order = np.lexsort((pair, weights))
-    u, v, pair, weights = u[order], v[order], pair[order], weights[order]
-    # Drop the repeat of each mutual pair.
-    keep = np.append(True, pair[1:] != pair[:-1])
-    return u[keep], v[keep], weights[keep]
+def forest_k_graph(n: int) -> int:
+    """Neighbour count of the kNN lists the certified forest is built from:
+    max(ceil(ln n), 10), at most n - 1."""
+    return min(max(default_k(n), 10), n - 1)
 
 
 def _dendrogram_order(n: int, edge_u, edge_v, edge_w):
     """Kruskal over the tree's own edges in (w, u, v) order, appending the leaf
-    list of v's component to u's at each merge; returns (order, gap)."""
+    list of v's component to u's at each merge; returns (order, rank, gap)."""
     link = list(range(n))  # union-find links; a root is its component's smallest id
     head, tail = list(range(n)), list(range(n))
     next_leaf, gap_after = [0] * n, [0.0] * n
@@ -302,8 +304,6 @@ def _dendrogram_order(n: int, edge_u, edge_v, edge_w):
             link[a] = a = link[link[a]]
         while link[b] != b:
             link[b] = b = link[link[b]]
-        if a == b:
-            raise ValueError("edges do not form a connected tree")
         next_leaf[tail[a]], gap_after[tail[a]] = head[b], ws[i]
         root = min(a, b)
         link[a] = link[b] = root
@@ -312,28 +312,12 @@ def _dendrogram_order(n: int, edge_u, edge_v, edge_w):
     for _ in range(n - 1):
         order.append(next_leaf[order[-1]])
     order = np.array(order, dtype=np.int64)
-    return order, np.array(gap_after)[order[:-1]]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return order, rank, np.array(gap_after)[order[:-1]]
 
 
-def _kruskal_knn(p: PointSet, knn=None) -> SpanningTree:
-    n = p.n
-    k_graph = approx_k_graph(n)
-    if knn is None:
-        knn = nearest_lists(p, k_graph + 1)
-    elif knn[1].shape[0] != n or knn[1].shape[1] <= k_graph:
-        raise ValueError(f"expected neighbour lists of shape ({n}, >= {k_graph + 1})")
-    cand_u, cand_v, cand_w = _candidate_knn_edges(knn, k_graph)
-    del knn
-    picked, comp = _knn_forest(n, cand_u, cand_v)
-    edge_u, edge_v, edge_w = cand_u[picked], cand_v[picked], cand_w[picked]
-    if len(picked) < n - 1:
-        more = [], [], []
-        _stitch(p, comp, *more)
-        edge_u, edge_v, edge_w = (np.append(a, b) for a, b in zip((edge_u, edge_v, edge_w), more))
-    return SpanningTree(n, edge_u, edge_v, edge_w, "raw")
-
-
-def _knn_forest(n: int, cand_u, cand_v):
+def _knn_forest(n: int, cand_u, cand_v, cand_w=None, bound=None):
     """Kruskal's forest over candidate edges already in Kruskal order, by
     Borůvka's rounds: returns the picked candidates' positions, ascending, and
     each vertex's component label, the component's smallest id.
@@ -343,22 +327,34 @@ def _knn_forest(n: int, cand_u, cand_v):
     builds. Each round every component picks its lightest outgoing edge; the
     picks form trees whose only cycles are mutual picks, broken at the smaller
     component, and pointer jumping finds each tree's root.
+
+    With weights ``cand_w`` and each vertex's ``bound``, under which its
+    candidates hold all its edges, a component's pick counts only when it is
+    strictly lighter than the bound of each member whose own lightest
+    outgoing candidate is not; the rounds end when no pick counts.
     """
     m = len(cand_u)
     comp = np.arange(n)
     picked = np.zeros(m, dtype=bool)
     live = np.arange(m)
     while True:
-        a, b = comp[cand_u[live]], comp[cand_v[live]]
-        crossing = a != b
-        live, a, b = live[crossing], a[crossing], b[crossing]
+        live = live[comp[cand_u[live]] != comp[cand_v[live]]]  # crossing candidates
         if not live.size:
             break
-        # Lightest outgoing edge of every component, at its label.
+        # Lightest outgoing edge of every vertex, then of every component at its label.
+        own = np.full(n, m)
+        np.minimum.at(own, cand_u[live], live)
+        np.minimum.at(own, cand_v[live], live)
         lightest = np.full(n, m)
-        np.minimum.at(lightest, a, live)
-        np.minimum.at(lightest, b, live)
+        np.minimum.at(lightest, comp, own)
         roots = np.flatnonzero(lightest < m)
+        if bound is not None:
+            unsure = np.append(cand_w, np.inf)[own] >= bound
+            limit = np.full(n, np.inf)
+            np.minimum.at(limit, comp[unsure], bound[unsure])
+            roots = roots[cand_w[lightest[roots]] < limit[roots]]
+            if not roots.size:
+                break
         edge = lightest[roots]
         picked[edge] = True
         ends_a, ends_b = comp[cand_u[edge]], comp[cand_v[edge]]
@@ -379,36 +375,38 @@ def _knn_forest(n: int, cand_u, cand_v):
     return np.flatnonzero(picked), comp
 
 
-def _stitch(p: PointSet, comp, edge_u, edge_v, edge_w):
+def _stitch(x, comp):
     """Prim over the forest's components (vertex labels ``comp``) from vertex
-    0's, appending its edges.
+    0's; returns its edges' ends (u, v), u < v, in the order they join.
 
-    Each outside component keeps its best key (distance to the tree), the
-    smallest of its ids at that key and the tree vertex it attaches to, the
-    earliest-joined among equally near ones. When a component joins, one
-    kd-tree over its points serves only the outside components whose bounding
-    box lies within their best key of its box. Of those, each first queries
-    its point nearest the box; that distance bounds the component's least, so
-    only its points no farther from the box than the bound (and than the best
-    key) are queried next. Any point farther can neither lower nor tie it.
+    Each outside component keeps its best edge into the tree under the order
+    (w, min, max), w by ``_distances``, and the component with the least
+    joins next. When a component joins, one kd-tree over its points serves
+    only the outside components whose bounding box lies within their best
+    weight of its box. Of those, each first queries its point nearest the
+    box; that distance bounds the component's least, so only its points no
+    farther from the box than the bound (and than the best weight) are
+    queried next. Each queried point about as near as its component's least
+    then gets every tree point that near, and their keys decide. Any point
+    farther can neither lower nor tie the best key.
     """
     members = np.argsort(comp, kind="stable")  # grouped by component, ids ascending
     first = np.flatnonzero(np.append(True, comp[members][1:] != comp[members][:-1]))
     sizes = np.diff(np.append(first, len(members)))
     which = np.empty(len(members), dtype=np.int64)
     which[members] = np.repeat(np.arange(len(first)), sizes)
-    grouped = p.coords[members]
+    grouped = x[members]
     lo, hi = np.minimum.reduceat(grouped, first), np.maximum.reduceat(grouped, first)
     best = np.full(len(first), np.inf)
-    best_vertex = np.zeros(len(first), dtype=np.int64)
-    best_near = np.zeros(len(first), dtype=np.int64)
+    best_u, best_v = np.zeros((2, len(first)), dtype=np.int64)
     outside = np.ones(len(first), dtype=bool)
+    edge_u, edge_v = np.empty((2, len(first) - 1), dtype=np.int64)
     joined = int(which[0])
-    slack = 1 + 1e-9  # far above the rounding of squared box distances
-    for _ in range(len(first) - 1):
+    slack = 1 + _SLACK
+    for i in range(len(first) - 1):
         outside[joined] = False
         part = members[first[joined]:first[joined] + sizes[joined]]
-        tree = cKDTree(p.coords[part])
+        tree = cKDTree(x[part])
         rest = np.flatnonzero(outside)
         gap = np.maximum(np.maximum(lo[rest] - hi[joined], lo[joined] - hi[rest]), 0)
         rest = rest[(gap * gap).sum(axis=1) <= (best[rest] * slack) ** 2]
@@ -416,35 +414,39 @@ def _stitch(p: PointSet, comp, edge_u, edge_v, edge_w):
             # The points of those components, one segment per component.
             lengths = sizes[rest]
             seg = np.cumsum(lengths) - lengths
-            ids = members[np.arange(lengths.sum()) + np.repeat(first[rest] - seg, lengths)]
-            x = p.coords[ids]
-            gap = np.clip(x, lo[joined], hi[joined]) - x
+            owner = np.repeat(np.arange(len(rest)), lengths)
+            ids = members[np.arange(lengths.sum()) + (first[rest] - seg)[owner]]
+            xq = x[ids]
+            gap = np.clip(xq, lo[joined], hi[joined]) - xq
             box = (gap * gap).sum(axis=1)
-            d, j = np.full(len(ids), np.inf), np.zeros(len(ids), dtype=np.int64)
-            _, probe = _first_min(box, seg, lengths)
-            d[probe], j[probe] = tree.query(x[probe], k=1)
+            d = np.full(len(ids), np.inf)
+            # Each component's first point nearest the box.
+            hits = np.flatnonzero(box == np.minimum.reduceat(box, seg)[owner])
+            probe = hits[np.searchsorted(hits, seg)]
+            d[probe] = tree.query(xq[probe], k=1)[0]
             bound = np.minimum(best[rest], d[probe]) * slack
-            more = box <= np.repeat(bound * bound, lengths)
+            more = box <= (bound * bound)[owner]
             more[probe] = False
-            d[more], j[more] = tree.query(x[more], k=1)
-            low, at = _first_min(d, seg, lengths)
-            better = (low < best[rest]) | ((low == best[rest]) & (ids[at] < best_vertex[rest]))
-            c, at = rest[better], at[better]
-            best[c], best_vertex[c], best_near[c] = low[better], ids[at], part[j[at]]
+            d[more] = tree.query(xq[more], k=1)[0]
+            reach = np.minimum(np.minimum.reduceat(d, seg), best[rest]) * slack
+            near = np.flatnonzero(d <= reach[owner])
+            hits = tree.query_ball_point(xq[near], reach[owner[near]])
+            count = np.fromiter(map(len, hits), np.int64, len(hits))
+            a = np.repeat(ids[near], count)
+            b = part[np.fromiter(itertools.chain.from_iterable(hits), np.int64, count.sum())]
+            # Each component's least key among those pairs and its best so far.
+            c = np.concatenate([rest[owner[np.repeat(near, count)]], rest])
+            w = np.concatenate([_distances(x, a, b), best[rest]])
+            u = np.concatenate([np.minimum(a, b), best_u[rest]])
+            v = np.concatenate([np.maximum(a, b), best_v[rest]])
+            by_key = np.lexsort((v, u, w, c))
+            top = by_key[np.append(True, c[by_key][1:] != c[by_key][:-1])]
+            best[c[top]], best_u[c[top]], best_v[c[top]] = w[top], u[top], v[top]
         rest = np.flatnonzero(outside)
         tied = rest[best[rest] == best[rest].min()]
-        joined = int(tied[np.argmin(best_vertex[tied])])
-        edge_u.append(int(best_near[joined]))
-        edge_v.append(int(best_vertex[joined]))
-        edge_w.append(float(best[joined]))
-
-
-def _first_min(values, seg, lengths):
-    """Per segment (starts ``seg``): the least value and the position of its
-    first occurrence."""
-    low = np.minimum.reduceat(values, seg)
-    hits = np.flatnonzero(values == np.repeat(low, lengths))
-    return low, hits[np.searchsorted(hits, seg)]
+        joined = int(tied[np.lexsort((best_v[tied], best_u[tied]))[0]])
+        edge_u[i], edge_v[i] = best_u[joined], best_v[joined]
+    return edge_u, edge_v
 
 
 def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:

@@ -82,11 +82,12 @@ def k_distance_all(src, k: int, k_graph: int | None = None):
     the unique value with at least k others no farther and at most k-1 strictly
     nearer.
 
-    With ``k_graph`` (the approximate tree's neighbour count), the call returns
-    ``(profile, lists)``. For a PointSet the one query asks for
-    max(k, k_graph) + 1 neighbours and ``lists`` is ``nearest_lists``' (dists,
-    idx) for the tree's candidate edges; the k-distances are the same values.
-    A matrix always gets the exact tree, so its ``lists`` is None.
+    With ``k_graph`` (the neighbour count of the tree's certified kNN forest),
+    the call returns ``(profile, lists)``. For a PointSet the one query asks
+    for max(k, k_graph) + 1 neighbours and ``lists`` is ``nearest_lists``'
+    (dists, idx), from which the tree takes its candidate edges; the
+    k-distances are the same values. A matrix's tree needs no lists, so its
+    ``lists`` is None.
     """
     n = src.n
     if not 1 <= k <= n - 1:

@@ -167,48 +167,6 @@ def prim_reference(src):
             np.array(edge_w, dtype=np.float64))
 
 
-def _knn_candidates(src, k_graph: int):
-    """Every kNN pair of a PointSet as (min id, max id, distance), repeats
-    included, in (w, u, v) order.
-
-    Each row's own id is put in column 0, where the kd-tree may have put an
-    exact duplicate: it swaps places with the duplicate when it is later in
-    the row and overwrites it when it is missing. Both sit at distance 0, so
-    no distance moves, and no row yields a self-pair.
-    """
-    from scipy.spatial import cKDTree
-
-    n = src.n
-    dists, idx = cKDTree(src.coords).query(src.coords, k_graph + 1)
-    for i in range(n):
-        row = idx[i].tolist()
-        if row[0] != i:
-            if i in row:
-                idx[i, row.index(i)] = row[0]
-            idx[i, 0] = i
-    rows = np.repeat(np.arange(n), k_graph)
-    cols = idx[:, 1:].ravel()
-    weights = dists[:, 1:].ravel()
-    u = np.minimum(rows, cols)
-    v = np.maximum(rows, cols)
-    order = np.lexsort((v, u, weights))
-    return u[order], v[order], weights[order]
-
-
-def knn_candidate_list(src, k_graph: int):
-    """Every kNN pair once, in (w, u, v) order; any self-pair is dropped."""
-    seen = set()
-    edge_u, edge_v, edge_w = [], [], []
-    for u, v, w in zip(*(a.tolist() for a in _knn_candidates(src, k_graph))):
-        if u != v and (u, v) not in seen:
-            seen.add((u, v))
-            edge_u.append(u)
-            edge_v.append(v)
-            edge_w.append(w)
-    return (np.array(edge_u, dtype=np.int64), np.array(edge_v, dtype=np.int64),
-            np.array(edge_w, dtype=np.float64))
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -242,49 +200,6 @@ def kruskal_forest_reference(n: int, cand_u, cand_v, cand_w):
     roots = np.array([uf.find(i) for i in range(n)], dtype=np.int64)
     return (np.array(edge_u, dtype=np.int64), np.array(edge_v, dtype=np.int64),
             np.array(edge_w, dtype=np.float64), roots)
-
-
-def kruskal_knn_reference(src):
-    """Approximate tree of a PointSet by Kruskal over kNN edges, then one
-    stitch per leftover component through the nearest (inside, outside) pair
-    of vertex 0's component, found by a kd-tree over every outside vertex; as
-    edge arrays.
-    """
-    n = src.n
-    # The library's kNN graph size: max(ceil(ln n), 10), at most n - 1.
-    k_graph = min(max(math.ceil(math.log(n)), 10), n - 1)
-    cand_u, cand_v, cand_w = _knn_candidates(src, k_graph)
-    uf = _UnionFind(n)
-    edge_u, edge_v, edge_w = [], [], []
-    for u, v, w in zip(cand_u, cand_v, cand_w):
-        if uf.union(int(u), int(v)):
-            edge_u.append(int(u))
-            edge_v.append(int(v))
-            edge_w.append(float(w))
-            if len(edge_w) == n - 1:
-                break
-    while len(edge_w) < n - 1:
-        u, v, w = _nearest_cross_pair(src, uf)
-        uf.union(u, v)
-        edge_u.append(u)
-        edge_v.append(v)
-        edge_w.append(w)
-    return (np.array(edge_u, dtype=np.int64), np.array(edge_v, dtype=np.int64),
-            np.array(edge_w, dtype=np.float64))
-
-
-def _nearest_cross_pair(src, uf: _UnionFind):
-    """Closest (inside, outside) pair for the component containing vertex 0."""
-    from scipy.spatial import cKDTree
-
-    n = src.n
-    roots = np.fromiter((uf.find(i) for i in range(n)), dtype=np.int64, count=n)
-    inside = np.flatnonzero(roots == roots[0])
-    outside = np.flatnonzero(roots != roots[0])
-    tree = cKDTree(src.coords[outside])
-    dists, nearest = tree.query(src.coords[inside], k=1)
-    j = int(np.argmin(dists))
-    return int(inside[j]), int(outside[nearest[j]]), float(dists[j])
 
 
 def minmax_exhaustive(dist_matrix: np.ndarray, source: int) -> np.ndarray:

@@ -9,10 +9,10 @@ import pava.neighbors as neighbors_mod
 from pava.dataset import DissimilarityMatrix, PointSet, generate_synthetic
 from pava.engine import ClusterModel, PavaConfig, extract_cluster, run, select_center
 from pava.metrics import adjusted_rand_index
-from pava.mstgraph import SpanningTree, adjust_weights, approx_k_graph, build_mst
+from pava.mstgraph import SpanningTree, adjust_weights, build_mst, forest_k_graph
 from pava.neighbors import default_k, k_distance_all
 
-from oracles import claim_reference, euclidean_matrix, kruskal_knn_reference
+from oracles import canonical_mst, claim_reference, euclidean_matrix
 from test_mstgraph import _degenerate_sources, _tied_points, _time_bound
 
 
@@ -307,12 +307,16 @@ class TestRun:
                                   adjust_weights(model.raw_tree, model.density).edge_w)
         else:
             assert model.tree is model.raw_tree
+        # The raw tree's dendrogram order is computed only when read.
+        assert ("_leaves" in vars(model.raw_tree)) != use_adjusted
 
     @pytest.mark.parametrize("k", [4, 10, 13])
     def test_approximate_run_queries_neighbours_once(self, monkeypatch, k):
-        # k below, equal to and above the kNN graph's k_graph (10 at N=400).
+        # k below, equal to and above the kNN forest's k_graph (10 at N=400).
         points, _ = generate_synthetic("blobs", 400, seed=12)
-        assert approx_k_graph(points.n) == 10
+        # A third coordinate sends the tree to the certified forest, which reads the lists.
+        points = PointSet(np.column_stack([points.coords, np.random.default_rng(12).normal(size=400)]))
+        assert forest_k_graph(points.n) == 10
         counts = []
 
         class CountingTree(cKDTree):
@@ -325,7 +329,7 @@ class TestRun:
         monkeypatch.undo()
         assert counts == [max(k, 10) + 1]
         assert np.array_equal(model.density.kdist, k_distance_all(points, k).kdist)
-        ref_u, ref_v, ref_w = kruskal_knn_reference(points)
+        ref_u, ref_v, ref_w = canonical_mst(points)
         assert np.array_equal(model.raw_tree.edge_u, ref_u)
         assert np.array_equal(model.raw_tree.edge_v, ref_v)
         assert np.array_equal(model.raw_tree.edge_w, ref_w)

@@ -1,10 +1,13 @@
+import itertools
 import signal
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial import cKDTree
 
 from pava import mstgraph
@@ -21,9 +24,7 @@ from pava.neighbors import DensityProfile, nearest_lists
 from oracles import (
     canonical_mst,
     euclidean_matrix,
-    knn_candidate_list,
     kruskal_forest_reference,
-    kruskal_knn_reference,
     kruskal_mst_total,
     min_spanning_total_enumerated,
     minmax_closure,
@@ -116,6 +117,31 @@ def _time_bound(seconds=5.0):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _knn_pairs(coords, k):
+    """Each point's k nearest other points by a full sort (ties to the smaller
+    id), as unique pairs (u < v, w) in (w, u, v) order."""
+    d = euclidean_matrix(coords)
+    np.fill_diagonal(d, np.inf)
+    near = np.argsort(d, axis=1, kind="stable")[:, :k]
+    pairs = {(min(i, j), max(i, j)) for i, row in enumerate(near.tolist()) for j in row}
+    u, v = np.array(sorted(pairs)).T
+    order = np.lexsort((v, u, d[u, v]))
+    return u[order], v[order], d[u, v][order]
+
+
+@st.composite
+def _tied_points_any_dim(draw):
+    """Points on a small integer lattice in 1 to 4 dimensions, some drawn
+    again as exact duplicates."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=2, max_value=80))
+    span = draw(st.integers(min_value=1, max_value=3))
+    ints = st.integers(min_value=-span, max_value=span)
+    coords = np.array(draw(st.lists(st.tuples(*[ints] * dim), min_size=n, max_size=n)), float)
+    copies = draw(st.lists(st.integers(0, n - 1), max_size=n))
+    return np.vstack([coords, coords[copies]])
+
+
 def _assert_edges(tree, ref):
     for got, want in zip((tree.edge_u, tree.edge_v, tree.edge_w), ref):
         assert np.array_equal(got, want)
@@ -171,14 +197,13 @@ class TestBuildMst:
         assert from_matrix == pytest.approx(from_points, rel=1e-12)
 
     def test_approximate_mode_connected_and_near_optimal(self):
+        # "approximate" is another name for the exact tree.
         rng = np.random.default_rng(10)
-        coords = np.vstack([rng.normal(size=(80, 2)), rng.normal(size=(80, 2)) + 50.0])
-        exact = build_mst(PointSet(coords), "exact")
-        approx = build_mst(PointSet(coords), "approximate")
-        assert len(approx.edge_w) == coords.shape[0] - 1
-        # connectivity is checked by the SpanningTree invariant itself
-        assert approx.total_weight >= exact.total_weight - 1e-9
-        assert approx.total_weight <= exact.total_weight * 1.05
+        for d in (2, 3):
+            coords = np.vstack([rng.normal(size=(80, d)), rng.normal(size=(80, d)) + 50.0])
+            ref = canonical_mst(PointSet(coords))
+            _assert_edges(build_mst(PointSet(coords), "exact"), ref)
+            _assert_edges(build_mst(PointSet(coords), "approximate"), ref)
 
     def test_approximate_mode_on_matrix(self):
         # A matrix has already paid O(N^2): approximate builds the exact tree.
@@ -228,24 +253,16 @@ class TestBuildMst:
         blobs = [_blob_grid(rng, 2), _blob_grid(rng, 3)]
         tie_free = [PointSet(c) for c in blobs]
         tie_free += [PointSet(rng.normal(size=(n, d))) for d in (1, 2, 3, 8) for n in (2, 3, 150)]
-        for src in tie_free:
-            tree = build_mst(src, "approximate")
-            ref_u, ref_v, ref_w = kruskal_knn_reference(src)
-            assert np.array_equal(tree.edge_u, ref_u)
-            assert np.array_equal(tree.edge_v, ref_v)
-            assert np.array_equal(tree.edge_w, ref_w)
-        # Equal distances everywhere: each side may pick another tree of the
-        # component graph, but all its minimum spanning trees share one weight
-        # multiset. Groups of more than k_graph + 1 duplicates are components
-        # of their own.
+        # Equal distances everywhere, and groups of more than k_graph + 1
+        # duplicates, whose points list only their own copies.
         grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), -1).reshape(-1, 3)
         sites = rng.normal(size=(5, 2)) * 20
         tie_heavy = [PointSet(np.vstack([grid, grid + [10.0, 0.0, 0.0]])),
                      PointSet(np.repeat(sites, 15, axis=0)[rng.permutation(75)]),
+                     PointSet(np.repeat(rng.normal(size=(5, 3)), 15, axis=0)[rng.permutation(75)]),
                      _points_1d(np.arange(72) % 6), PointSet(np.ones((7, 2)))]
-        for src in tie_heavy:
-            tree = build_mst(src, "approximate")
-            assert np.array_equal(np.sort(tree.edge_w), np.sort(kruskal_knn_reference(src)[2]))
+        for src in tie_free + tie_heavy:
+            _assert_edges(build_mst(src, "approximate"), canonical_mst(src))
 
     def test_duplicates_keep_every_candidate_edge(self):
         # Three copies of each site: the kd-tree may list a copy before the
@@ -254,57 +271,51 @@ class TestBuildMst:
         for sites, copies in ((50, 3), (12, 15)):
             coords = np.repeat(rng.normal(size=(sites, 3)) * 5, copies, axis=0)
             src = PointSet(coords[rng.permutation(len(coords))])
-            k_graph = mstgraph.approx_k_graph(src.n)
+            k_graph = mstgraph.forest_k_graph(src.n)
             dists, idx = nearest_lists(src, k_graph + 1)
             rows = np.arange(src.n)
             assert np.array_equal(idx[:, 0], rows)
             assert not np.any(idx[:, 1:] == rows[:, None])
             assert np.array_equal(dists, np.linalg.norm(src.coords[idx] - src.coords[:, None], axis=2))
-            cand_u, cand_v, _ = mstgraph._candidate_knn_edges((dists, idx), k_graph)
-            assert np.all(cand_u < cand_v)
-            # Every row's k_graph pairs, less those two rows share.
-            pairs = {(min(i, j), max(i, j)) for i in rows.tolist() for j in idx[i, 1:].tolist()}
-            assert len(cand_u) == len(pairs)
-            tree = build_mst(src, "approximate")
-            ref_u, ref_v, ref_w = kruskal_knn_reference(src)
-            if copies <= k_graph:
-                assert np.array_equal(tree.edge_u, ref_u)
-                assert np.array_equal(tree.edge_v, ref_v)
-                assert np.array_equal(tree.edge_w, ref_w)
-            else:
-                # Each site is a component of its own, and the stitch may
-                # join it through another of its equally near copies.
-                assert np.array_equal(np.sort(tree.edge_w), np.sort(ref_w))
+            # The copies collapse into sites before the forest, so the tree
+            # is the canonical one whether or not a site outnumbers k_graph.
+            _assert_edges(build_mst(src, "approximate", (dists, idx)), canonical_mst(src))
 
     def test_stitch_tie_rule(self):
         # Singleton components make the stitch a plain Prim from vertex 0.
+        # Among equal weights the edge with the smallest (min, max) joins.
         cases = [
-            # 1 and 2 are equally near 0: the smaller id joins first.
-            ([[0, 0], [1, 0], [-1, 0]], ([0, 0], [1, 2], [1.0, 1.0])),
-            # 2 is sqrt(5) from both 3 and 1: 3 joined the tree first and is kept.
-            ([[0, 0], [1, 2], [3, 1], [1, 0]], ([0, 3, 3], [3, 1, 2], [1.0, 2.0, np.sqrt(5.0)])),
+            # 1 and 2 are equally near 0: (0, 1) joins first.
+            ([[0, 0], [1, 0], [-1, 0]], [(0, 1), (0, 2)]),
+            # 2 is sqrt(5) from both 3 and 1: (1, 2) beats (2, 3), though 3
+            # joined the tree first.
+            ([[0, 0], [1, 2], [3, 1], [1, 0]], [(0, 3), (1, 3), (1, 2)]),
+            # Once 3 joins, 1 is 2 from 3 and 2 is 2 from 0: (0, 2) beats
+            # (1, 3), though 1 is the smaller outside id.
+            ([[0, 0], [3, 0], [0, 2], [1, 0]], [(0, 3), (0, 2), (1, 3)]),
         ]
         for coords, want in cases:
-            edges = ([], [], [])
-            mstgraph._stitch(PointSet(np.array(coords, float)), np.arange(len(coords)), *edges)
-            assert edges == want
+            edges = mstgraph._stitch(np.array(coords, float), np.arange(len(coords)))
+            assert list(zip(*(e.tolist() for e in edges))) == want
 
     def test_stitch_tie_rule_across_components(self):
         cases = [
             # Component {1, 2} is 2 from the tree at 2 (through 0); once 3
-            # joins, 1 is 2 from it too, and the smaller id 1 joins for it.
-            ([[0, 0], [3, 0], [0, 2], [1, 0]], [0, 1, 1, 3], ([0, 3], [3, 1], [1.0, 2.0])),
-            # Components {1, 3} and {2} are both 1 from 0: {2} holds the
-            # smaller id at that distance and joins first.
-            ([[0, 0], [3, 0], [0, 1], [1, 0]], [0, 1, 2, 1], ([0, 0], [2, 3], [1.0, 1.0])),
+            # joins, 1 is 2 from it too, and (0, 2) beats (1, 3).
+            ([[0, 0], [3, 0], [0, 2], [1, 0]], [0, 1, 1, 3], [(0, 3), (0, 2)]),
+            # Components {1, 3} and {2} are both 1 from 0: (0, 2) beats
+            # (0, 3), so {2} joins first.
+            ([[0, 0], [3, 0], [0, 1], [1, 0]], [0, 1, 2, 1], [(0, 2), (0, 3)]),
             # 2 and 3 are both sqrt(10) from the tree {0, 1}, though 2 lies
-            # farther from its bounding box; the smaller id 2 joins.
-            ([[0, 0], [0, 2], [1, -3], [3, 1]], [0, 0, 2, 2], ([0], [2], [np.sqrt(10.0)])),
+            # farther from its bounding box; (0, 2) beats (0, 3) and (1, 3).
+            ([[0, 0], [0, 2], [1, -3], [3, 1]], [0, 0, 2, 2], [(0, 2)]),
+            # {1, 2} is 3 from {0, 3} through (0, 2) and through (1, 3); the
+            # smallest outside id, 1, does not decide.
+            ([[0, 0], [10, 3], [0, 3], [10, 0]], [0, 1, 1, 0], [(0, 2)]),
         ]
         for coords, comp, want in cases:
-            edges = ([], [], [])
-            mstgraph._stitch(PointSet(np.array(coords, float)), np.array(comp), *edges)
-            assert edges == want
+            edges = mstgraph._stitch(np.array(coords, float), np.array(comp))
+            assert list(zip(*(e.tolist() for e in edges))) == want
 
     def test_stitching_indexes_each_component_once(self, monkeypatch):
         # One kd-tree per joined component (none for the last) indexes at most
@@ -337,7 +348,7 @@ class TestBuildMst:
 
         monkeypatch.setattr(mstgraph, "cKDTree", CountingTree)
         tree = build_mst(PointSet(coords), "approximate")
-        assert np.array_equal(tree.edge_w, kruskal_knn_reference(PointSet(coords))[2])
+        _assert_edges(tree, canonical_mst(PointSet(coords)))
         assert sum(queried) <= len(coords)
 
     def test_candidate_list_and_forest_match_references(self):
@@ -347,14 +358,7 @@ class TestBuildMst:
         tie_heavy = [np.repeat(rng.normal(size=(6, 2)), 30, axis=0)[rng.permutation(180)],
                      grid[rng.permutation(len(grid))], np.vstack([grid, grid + 7.0]),
                      (np.arange(90.0) % 9).reshape(-1, 1), np.ones((12, 3))]
-        lists = []
-        for coords in tie_free + tie_heavy:
-            src = PointSet(coords)
-            k_graph = mstgraph.approx_k_graph(src.n)
-            cand = mstgraph._candidate_knn_edges(nearest_lists(src, k_graph + 1), k_graph)
-            for got, want in zip(cand, knn_candidate_list(src, k_graph)):
-                assert np.array_equal(got, want)
-            lists.append((src.n, cand))
+        lists = [(len(coords), _knn_pairs(coords, 10)) for coords in tie_free + tie_heavy]
         # Random pair lists with integer weights, in the library's (w, u, v) order.
         for n in (2, 9, 60, 400):
             pairs = np.sort(rng.integers(0, n, size=(3 * n, 2)), axis=1)
@@ -376,8 +380,9 @@ class TestBuildMst:
         with _time_bound():
             approx = build_mst(src, "approximate")  # SpanningTree rejects a non-spanning edge set
             exact = build_mst(src, "exact")
-        assert len(approx.edge_w) == src.n - 1
-        assert approx.total_weight >= exact.total_weight * (1 - 1e-9)
+        ref = canonical_mst(src)
+        _assert_edges(approx, ref)
+        _assert_edges(exact, ref)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
@@ -386,8 +391,9 @@ class TestBuildMst:
 
 class TestExactTreeInLowDimensions:
     """The exact tree of 1-D and 2-D point sets comes from Kruskal over
-    candidate edges, or from Prim where Qhull cannot triangulate the sites;
-    either way it is the canonical tree of the points and of their matrix."""
+    candidate edges, or from the certified kNN forest where Qhull cannot
+    triangulate the sites; either way it is the canonical tree of the points
+    and of their matrix."""
 
     @given(_tied_points())
     @settings(max_examples=150, deadline=None)
@@ -398,7 +404,7 @@ class TestExactTreeInLowDimensions:
             _assert_edges(build_mst(points, "exact"), ref)
             _assert_edges(build_mst(DissimilarityMatrix(euclidean_matrix(coords)), "exact"), ref)
 
-    @pytest.mark.parametrize("coords, dense", [
+    @pytest.mark.parametrize("coords, certified", [
         ([[0.0], [2.0]], False),
         ([[1.0, 1.0], [0.0, 2.0]], True),  # two sites: Qhull needs three
         ([[0.0], [2.0], [1.0]], False),
@@ -411,18 +417,22 @@ class TestExactTreeInLowDimensions:
         # triangulation as coplanar.
         ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5], [0.5, 0.5 + 1e-15]], True),
     ])
-    def test_small_and_degenerate_point_sets(self, monkeypatch, coords, dense):
+    def test_small_and_degenerate_point_sets(self, monkeypatch, coords, certified):
         calls = []
 
-        def counting_prim(src):
-            calls.append(src.n)
-            return prim_exact(src)
+        def counting(name):
+            def wrapper(*args):
+                calls.append(name)
+                return original[name](*args)
+            return wrapper
 
-        prim_exact = mstgraph._prim_exact
-        monkeypatch.setattr(mstgraph, "_prim_exact", counting_prim)
+        original = {name: getattr(mstgraph, name) for name in ("_prim_exact", "_certified_tree")}
+        for name in original:
+            monkeypatch.setattr(mstgraph, name, counting(name))
         points = PointSet(np.array(coords))
         tree = build_mst(points, "exact")
-        assert len(calls) == dense
+        # No point set reaches the dense Prim.
+        assert calls == ["_certified_tree"] * certified
         ref = canonical_mst(points)
         _assert_edges(tree, ref)
         _assert_edges(build_mst(DissimilarityMatrix(euclidean_matrix(points.coords)), "exact"), ref)
@@ -498,6 +508,7 @@ class TestMinmaxFromCenter:
             tree = _tie_heavy_tree(rng, n)
             cases.append((tree, minmax_closure(_edge_matrix(tree))))
         for tree, closure in cases:
+            assert np.array_equal(tree.rank, np.argsort(tree.order))
             for source in range(tree.n):
                 assert np.array_equal(minmax_by_id(tree, source), closure[source])
 
@@ -616,3 +627,72 @@ class TestSpanningTreeInvariants:
         coords = rng.normal(size=(40, 2))
         total = build_mst(PointSet(coords)).total_weight
         assert total == pytest.approx(kruskal_mst_total(euclidean_matrix(coords)), rel=1e-12)
+
+
+class TestCertifiedForest:
+    """Point sets that Delaunay does not serve get a forest certified from
+    kNN lists plus a Prim over its components: the canonical tree, with or
+    without ties and duplicates, whatever the mode is called."""
+
+    @given(_tied_points_any_dim())
+    @settings(max_examples=150, deadline=None)
+    def test_tied_points_give_the_canonical_tree(self, coords):
+        forests = []
+        knn_forest = mstgraph._knn_forest
+
+        def spy(n, cand_u, cand_v, cand_w=None, bound=None):
+            picked, comp = knn_forest(n, cand_u, cand_v, cand_w, bound)
+            if bound is not None:
+                forests.append((cand_u[picked], cand_v[picked]))
+            return picked, comp
+
+        points = PointSet(coords)
+        with _time_bound(), mock.patch.object(mstgraph, "_knn_forest", spy):
+            exact = build_mst(points, "exact")
+            approx = build_mst(points, "approximate")
+        ref = canonical_mst(points)
+        _assert_edges(exact, ref)
+        _assert_edges(approx, ref)
+        # Each certified forest, over the sites named by their smallest ids,
+        # lies inside the canonical tree.
+        names = np.sort(np.unique(coords, axis=0, return_index=True)[1])
+        tree_edges = set(zip(ref[0].tolist(), ref[1].tolist()))
+        for a, b in forests:
+            assert set(zip(names[a].tolist(), names[b].tolist())) <= tree_edges
+
+    def test_ties_at_the_last_listed_distance(self):
+        # 84 lattice points sqrt(50) from the center, each with more than
+        # k_graph = 10 of the others nearer. Only the center lists a pair
+        # between them, 10 of the 84 cut from the tie by the kd-tree, so an
+        # edge at its last listed distance is not certified: an unlisted
+        # one may precede it.
+        shell = np.array([p for p in itertools.product(range(-7, 8), repeat=3)
+                          if sum(c * c for c in p) == 50], float)
+        coords = np.vstack([np.zeros((1, 3)), shell])
+        rng = np.random.default_rng(59)
+        for _ in range(10):
+            points = PointSet(coords[rng.permutation(len(coords))])
+            _assert_edges(build_mst(points), canonical_mst(points))
+
+    def test_collinear_points_take_the_line_order(self):
+        # Qhull rejects collinear 2-D sites; the certified forest serves
+        # them in about linear time instead of the dense Prim's O(N^2).
+        t = np.random.default_rng(47).normal(size=6000)
+        with _time_bound(2.0):
+            line = build_mst(PointSet(np.outer(t, [0.6, 0.8]) + [1.0, -2.0]))
+        ref = build_mst(_points_1d(t))
+        assert np.array_equal(line.edge_u, ref.edge_u)
+        assert np.array_equal(line.edge_v, ref.edge_v)
+
+    def test_duplicate_heavy_points_collapse_into_sites(self):
+        # 15 copies of each site: every copy lists only copies at distance
+        # 0, so only the sites' own lists can certify an edge.
+        rng = np.random.default_rng(53)
+        sites = rng.normal(size=(1000, 3))
+        coords = np.repeat(sites, 15, axis=0)[rng.permutation(15000)]
+        with _time_bound():
+            tree = build_mst(PointSet(coords))
+        want = minimum_spanning_tree(euclidean_matrix(sites)).sum()
+        assert tree.total_weight == pytest.approx(want, rel=1e-12)
+        small = np.repeat(sites[:30], 15, axis=0)[rng.permutation(450)]
+        _assert_edges(build_mst(PointSet(small)), canonical_mst(PointSet(small)))
