@@ -31,10 +31,6 @@ from .neighbors import default_k, k_distance_all, query_workers  # noqa: F401 (t
 
 REPORT_SCHEMA = 1
 
-MST_HELP = ("accepted for compatibility; both values build the canonical minimum spanning "
-            "tree (sorted neighbours in 1-D, Delaunay edges in 2-D, else a certified kNN "
-            "forest plus a component stitch; dense Prim for a --matrix input)")
-
 
 class UsageError(ValueError):
     """Bad arguments or unusable input files; maps to exit code 2."""
@@ -85,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="provenance seed echoed into the output rows")
     p_sweep.add_argument("--labels-true", help="ground-truth labels CSV for the metric columns")
     p_sweep.add_argument("--no-adjust", action="store_true")
-    p_sweep.add_argument("--mst", choices=("exact", "approximate"), default="exact", help=MST_HELP)
+    p_sweep.add_argument("--mst", choices=("exact", "approximate"), help="accepted and ignored")
     p_sweep.add_argument("--out", help="write the CSV table here instead of stdout")
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -101,8 +97,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--bins", type=int, default=defaults.bins)
     parser.add_argument("--smooth-window", type=int, default=defaults.smooth_window)
     parser.add_argument("--percentile", type=float, default=defaults.trim_percentile)
-    parser.add_argument("--mst", choices=("exact", "approximate"), default=defaults.mst_mode,
-                        help=MST_HELP)
+    parser.add_argument("--mst", choices=("exact", "approximate"), help="accepted and ignored")
     parser.add_argument("--min-unlabeled", type=int, default=defaults.min_unlabeled)
 
 
@@ -132,7 +127,6 @@ def _make_config(args, n: int) -> PavaConfig:
             smooth_window=args.smooth_window,
             trim_percentile=args.percentile,
             min_unlabeled=args.min_unlabeled,
-            mst_mode=args.mst,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -213,7 +207,7 @@ def _emit_artifacts(args, src, cfg: PavaConfig, model: ClusterModel) -> None:
     if args.emit_mst:
         from .mstgraph import adjust_weights, build_mst
 
-        raw = build_mst(src, cfg.mst_mode)
+        raw = build_mst(src)
         _write_edges(f"{args.emit_mst}.mst_raw.csv", raw)
         if cfg.use_adjusted:
             _write_edges(f"{args.emit_mst}.mst_adjusted.csv",
@@ -282,7 +276,7 @@ def cmd_sweep(args) -> int:
     if args.repeats < 1:
         raise UsageError("repeats must be >= 1")
     try:
-        configs = [PavaConfig(k=k, use_adjusted=not args.no_adjust, mst_mode=args.mst) for k in k_values]
+        configs = [PavaConfig(k=k, use_adjusted=not args.no_adjust) for k in k_values]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     _check_threads()

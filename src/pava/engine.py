@@ -48,7 +48,8 @@ from .valley import (
 
 @dataclass
 class PavaConfig:
-    """Tunable knobs; the defaults run the whole pipeline hands-free."""
+    """Tunable knobs; the defaults run the whole pipeline hands-free. The tree
+    is not one of them: each input kind has one exact builder (``build_mst``)."""
 
     k: int | None = None
     use_adjusted: bool = True
@@ -57,7 +58,6 @@ class PavaConfig:
     smooth_window: int = DEFAULT_SMOOTH_WINDOW
     trim_percentile: float = DEFAULT_TRIM_PERCENTILE
     min_unlabeled: int = 20
-    mst_mode: str = "exact"
 
     def __post_init__(self):
         if self.k is not None and self.k < 1:
@@ -72,8 +72,6 @@ class PavaConfig:
             raise ValueError("trim_percentile must be in (0, 100]")
         if self.min_unlabeled < 1:
             raise ValueError("min_unlabeled must be >= 1")
-        if self.mst_mode not in ("exact", "approximate"):
-            raise ValueError("mst_mode must be 'exact' or 'approximate'")
 
 
 @dataclass
@@ -165,7 +163,7 @@ def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
     density, knn = k_distance_all(src, k, forest_k_graph(n))
     t1 = time.perf_counter()
     timings["density_s"] = t1 - t0
-    raw_tree = build_mst(src, cfg.mst_mode, knn)
+    raw_tree = build_mst(src, knn)
     del knn
     tree = adjust_weights(raw_tree, density) if cfg.use_adjusted else raw_tree
     t2 = time.perf_counter()

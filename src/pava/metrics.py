@@ -56,18 +56,6 @@ def _pair_counts(table: ContingencyTable):
     return tp, fp, fn, tn
 
 
-def _first_appearance_ids(labels: np.ndarray) -> np.ndarray:
-    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    rank = np.argsort(np.argsort(first))
-    return rank[inverse]
-
-
-def _identical_partitions(a, b) -> bool:
-    a = _as_labels(a)
-    b = _as_labels(b)
-    return bool(np.array_equal(_first_appearance_ids(a), _first_appearance_ids(b)))
-
-
 def rand_index(a, b) -> float:
     """Fraction of object pairs on which the two partitions agree."""
     table = ContingencyTable.from_partitions(a, b)
@@ -79,11 +67,7 @@ def rand_index(a, b) -> float:
 
 
 def adjusted_rand_index(a, b) -> float:
-    """Rand index corrected for chance: 1 for identical partitions, ~0 at random.
-
-    When the chance-correction denominator degenerates (both partitions
-    trivial), identical partitions score 1 and anything else scores 0.
-    """
+    """Rand index corrected for chance: 1 for identical partitions, ~0 at random."""
     table = ContingencyTable.from_partitions(a, b)
     sum_cells = _choose2(table.counts).sum()
     sum_rows = _choose2(table.row_marginals).sum()
@@ -93,8 +77,12 @@ def adjusted_rand_index(a, b) -> float:
         return 1.0
     expected = sum_rows * sum_cols / total
     denom = (sum_rows + sum_cols) / 2.0 - expected
+    # With row and column pair shares x = sum_rows / total and y = sum_cols /
+    # total, denom / total = (x + y) / 2 - xy, which vanishes on [0, 1]^2 only
+    # at x = y = 0 or x = y = 1: both partitions all singletons or both one
+    # cluster, so they are identical.
     if denom == 0:
-        return 1.0 if _identical_partitions(a, b) else 0.0
+        return 1.0
     return float((sum_cells - expected) / denom)
 
 

@@ -108,7 +108,7 @@ class MinmaxVector:
         return (np.zeros(1), self.left, self.right)
 
 
-def build_mst(src, mode: str = "exact", knn=None) -> SpanningTree:
+def build_mst(src, knn=None) -> SpanningTree:
     """Minimum spanning tree of the complete dissimilarity graph: the unique
     one under the edge order (w, min(u, v), max(u, v)), as rows u < v in that
     order. Ties in weight never leave a choice to the builder, so a point set
@@ -122,11 +122,7 @@ def build_mst(src, mode: str = "exact", knn=None) -> SpanningTree:
       (``_certified_tree``). ``knn``, the (dists, idx) lists that
       ``k_distance_all(src, k, forest_k_graph(N))`` returns, saves that
       forest's neighbour query.
-
-    ``mode`` "approximate" is accepted as another name for "exact".
     """
-    if mode not in ("exact", "approximate"):
-        raise ValueError(f"unknown MST mode {mode!r}")
     if isinstance(src, PointSet):
         return _kruskal_candidates(src, knn)
     return _prim_exact(src)
@@ -220,13 +216,11 @@ def _certified_tree(x, names, knn):
     dists, idx = knn
     rows = np.repeat(np.arange(s), idx.shape[1] - 1)
     cols = idx[:, 1:].ravel()
-    u, v = np.minimum(rows, cols), np.maximum(rows, cols)
+    # Each listed pair once, ascending in (u, v); a mutual pair is listed twice.
+    u, v = np.divmod(np.unique(np.minimum(rows, cols) * s + np.maximum(rows, cols)), s)
     w = _distances(sites, u, v)
-    pair = u * s + v  # orders pairs as (u, v) does
-    by_key = np.lexsort((pair, w))
-    u, v, w, pair = u[by_key], v[by_key], w[by_key], pair[by_key]
-    keep = np.append(True, pair[1:] != pair[:-1])  # drop the repeat of each mutual pair
-    u, v, w = u[keep], v[keep], w[keep]
+    by_key = np.argsort(w, kind="stable")  # (w, u, v) order
+    u, v, w = u[by_key], v[by_key], w[by_key]
     picked, comp = _knn_forest(s, u, v, w, dists[:, -1] * (1 - _SLACK))
     a, b = u[picked], v[picked]
     if len(picked) < s - 1:

@@ -93,7 +93,7 @@ def test_criterion_01_minmax_oracle_equivalence():
         n = int(rng.integers(2, 11))
         coords = rng.uniform(-1, 1, (n, 2))
         dist = euclidean_matrix(coords)
-        tree = build_mst(PointSet(coords), "exact")
+        tree = build_mst(PointSet(coords))
         closure = minmax_closure(dist)
         for source in range(n):
             got = minmax_by_id(tree, source)
@@ -115,7 +115,7 @@ def test_criterion_02_mst_total_weight_oracle():
     for _ in range(100):
         n = int(rng.integers(3, 9))
         coords = rng.uniform(-1, 1, (n, 2))
-        total = build_mst(PointSet(coords), "exact").total_weight
+        total = build_mst(PointSet(coords)).total_weight
         ref = min_spanning_total_enumerated(euclidean_matrix(coords))
         rel = abs(total - ref) / max(ref, 1e-300)
         worst = max(worst, rel)
@@ -162,16 +162,16 @@ def test_criterion_05_ccrings_and_runtime():
             good += 1
         assert elapsed < 10.0, f"run took {elapsed:.2f}s at seed {seed}"
     # complexity scaling is checked on the near-linearithmic tree construction
-    approx = PavaConfig(mst_mode="approximate")
+    cfg = PavaConfig()
     sizes = (3000, 6000)
     inputs = {n: _dataset("ccrings", n, 0)[0] for n in sizes}
     for n in sizes:
-        run(inputs[n], approx)  # warm-up
+        run(inputs[n], cfg)  # warm-up
     # Alternating the sizes' timed runs spreads host speed drift over both.
     samples = {n: [] for n in sizes}
     for _ in range(3):
         for n in sizes:
-            samples[n].append(run(inputs[n], approx).timings["total_s"])
+            samples[n].append(run(inputs[n], cfg).timings["total_s"])
     times = {n: min(samples[n]) for n in sizes}
     ratio = times[6000] / times[3000]
     _report(5, good >= 9 and ratio < 3.0,

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from pava.cli import main
-from pava.dataset import generate_synthetic, load_points_csv, save_labels_csv, save_points_csv
+from pava.dataset import (
+    PointSet,
+    generate_synthetic,
+    load_points_csv,
+    save_labels_csv,
+    save_points_csv,
+)
 from pava.engine import run
 from pava.metrics import adjusted_rand_index
 from pava.mstgraph import adjust_weights, build_mst
@@ -93,18 +99,35 @@ class TestCluster:
         pred = np.loadtxt(labels_out, dtype=int)
         assert adjusted_rand_index(truth.labels, pred) == 1.0
 
-    def test_matrix_approximate_mode_writes_the_exact_tree(self, tmp_path):
+    @pytest.mark.parametrize("matrix", [False, True], ids=["points", "matrix"])
+    def test_mst_flag_is_accepted_and_ignored(self, tmp_path, capsys, matrix):
+        # The benchmark passes --mst approximate; every spelling builds the one
+        # exact tree, so labels and emitted files match byte for byte.
         points, _ = generate_synthetic("twomoons_noise", 200, seed=3)
-        mf = tmp_path / "dist.csv"
-        np.savetxt(mf, euclidean_matrix(points.coords), fmt="%.17g", delimiter=",")
-        for mode in ("exact", "approximate"):
-            assert main(["cluster", "--matrix", str(mf), "--mst", mode,
-                         "--labels-out", str(tmp_path / f"{mode}.pred.csv"),
-                         "--report-out", str(tmp_path / f"{mode}.json"),
-                         "--emit-mst", str(tmp_path / mode)]) == 0
-        for suffix in (".pred.csv", ".mst_raw.csv"):
-            assert ((tmp_path / f"approximate{suffix}").read_bytes()
-                    == (tmp_path / f"exact{suffix}").read_bytes())
+        coords = np.column_stack([points.coords, np.random.default_rng(3).normal(size=200)])
+        path = tmp_path / "in.csv"
+        if matrix:
+            np.savetxt(path, euclidean_matrix(coords), fmt="%.17g", delimiter=",")
+        else:
+            save_points_csv(path, PointSet(coords))  # 3-D: the certified forest
+        head = ["cluster", str(path)] + ["--matrix"] * matrix
+        for name, flag in (("none", []), ("exact", ["--mst", "exact"]),
+                           ("approximate", ["--mst", "approximate"])):
+            assert main(head + flag + [
+                "--labels-out", str(tmp_path / f"{name}.pred.csv"),
+                "--report-out", str(tmp_path / f"{name}.json"),
+                "--emit-mst", str(tmp_path / name),
+                "--emit-kdist", str(tmp_path / f"{name}.kdist.csv")]) == 0
+        for suffix in (".pred.csv", ".mst_raw.csv", ".mst_adjusted.csv", ".kdist.csv"):
+            for name in ("exact", "approximate"):
+                assert ((tmp_path / f"{name}{suffix}").read_bytes()
+                        == (tmp_path / f"none{suffix}").read_bytes())
+        assert "mst_mode" not in json.loads((tmp_path / "none.json").read_text())["config"]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(head + ["--mst", "turbo"])
+        assert exc.value.code == 2
+        assert "turbo" in capsys.readouterr().err
 
     def test_k_too_large_exit_2(self, moons_files, capsys):
         pf, _ = moons_files
@@ -249,6 +272,17 @@ class TestSweep:
         row = capsys.readouterr().out.strip().splitlines()[1].split(",")
         assert float(row[5]) == pytest.approx(report["metrics"]["ari"], abs=1e-12)
         assert int(row[7]) == report["m"]
+
+    def test_mst_flag_leaves_the_rows_unchanged(self, moons_files, capsys):
+        pf, _ = moons_files
+        tables = []
+        for flag in ([], ["--mst", "approximate"]):
+            assert main(["sweep", str(pf), "--k-values", "6,7"] + flag) == 0
+            tables.append([line.split(",")[:8] for line in capsys.readouterr().out.splitlines()])
+        assert tables[0] == tables[1]
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", str(pf), "--k-values", "7", "--mst", "turbo"])
+        assert exc.value.code == 2
 
     def test_empty_k_list_exit_2(self, moons_files):
         pf, _ = moons_files

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -135,12 +137,11 @@ class TestRoundInPositionSpace:
             assert np.array_equal(hist.raw_freq, ref_raw)
             assert np.array_equal(hist.bin_edges, ref_edges)
 
-    @pytest.mark.parametrize("src, mode, degenerate", [
-        (generate_synthetic("blobs", 300, seed=2)[0], "exact", 0),
-        (generate_synthetic("blobs", 300, seed=2)[0], "approximate", 0),
-        (PointSet(np.zeros((30, 2))), "exact", 1),  # all distances equal
-    ], ids=["blobs-exact", "blobs-approximate", "all-equal"])
-    def test_run_calls_each_traced_step_once_per_round(self, monkeypatch, src, mode, degenerate):
+    @pytest.mark.parametrize("src, degenerate", [
+        (generate_synthetic("blobs", 300, seed=2)[0], 0),
+        (PointSet(np.zeros((30, 2))), 1),  # all distances equal
+    ], ids=["blobs-exact", "all-equal"])
+    def test_run_calls_each_traced_step_once_per_round(self, monkeypatch, src, degenerate):
         # The benchmark's tracer wraps these engine globals; every round must
         # reach them by those names.
         names = ("select_center", "minmax_from_center", "cap_percentile", "build_histogram",
@@ -155,7 +156,7 @@ class TestRoundInPositionSpace:
 
         for name in names:
             monkeypatch.setattr(engine_mod, name, counted(name, getattr(engine_mod, name)))
-        model = run(src, PavaConfig(mst_mode=mode))
+        model = run(src)
         full = model.m - degenerate
         assert len(model.histograms) == full
         assert calls == {"select_center": model.m, "minmax_from_center": model.m,
@@ -223,16 +224,6 @@ class TestRun:
         points, _ = generate_synthetic("blobs", 150, seed=6)
         matrix = DissimilarityMatrix(euclidean_matrix(points.coords))
         assert np.array_equal(run(points).labels, run(matrix).labels)
-
-    def test_matrix_approximate_mode_is_exact(self):
-        points, _ = generate_synthetic("twomoons_noise", 300, seed=4)
-        matrix = DissimilarityMatrix(euclidean_matrix(points.coords))
-        exact = run(matrix, PavaConfig(mst_mode="exact"))
-        approx = run(matrix, PavaConfig(mst_mode="approximate"))
-        assert np.array_equal(approx.labels, exact.labels)
-        assert [r.radius for r in approx.rounds] == [r.radius for r in exact.rounds]
-        for name in ("edge_u", "edge_v", "edge_w"):
-            assert np.array_equal(getattr(approx.raw_tree, name), getattr(exact.raw_tree, name))
 
     def test_rigid_motion_leaves_labels_unchanged(self):
         points, _ = generate_synthetic("twomoons", 400, seed=7)
@@ -325,7 +316,7 @@ class TestRun:
                 return super().query(x, k, **kwargs)
 
         monkeypatch.setattr(neighbors_mod, "build_index", lambda p: CountingTree(p.coords))
-        model = run(points, PavaConfig(k=k, mst_mode="approximate"))
+        model = run(points, PavaConfig(k=k))
         monkeypatch.undo()
         assert counts == [max(k, 10) + 1]
         assert np.array_equal(model.density.kdist, k_distance_all(points, k).kdist)
@@ -340,12 +331,11 @@ class TestRun:
     @example(DissimilarityMatrix(np.array([[0.0, 5e-324], [5e-324, 0.0]])))
     def test_degenerate_input_clusters(self, src):
         # Every such input is valid, so each configuration must cluster it.
-        for mst_mode in ("exact", "approximate"):
-            for use_adjusted in (True, False):
-                with _time_bound():
-                    model = run(src, PavaConfig(mst_mode=mst_mode, use_adjusted=use_adjusted))
-                assert len(model.labels) == src.n
-                assert np.array_equal(np.unique(model.labels), np.arange(1, model.m + 1))
+        for use_adjusted in (True, False):
+            with _time_bound():
+                model = run(src, PavaConfig(use_adjusted=use_adjusted))
+            assert len(model.labels) == src.n
+            assert np.array_equal(np.unique(model.labels), np.arange(1, model.m + 1))
 
     @given(_tied_points())
     @settings(max_examples=60, deadline=None)
@@ -363,7 +353,7 @@ class TestPavaConfig:
     @pytest.mark.parametrize("kwargs", [
         {"stop_fraction": 0.0}, {"stop_fraction": 1.0}, {"bins": 2},
         {"smooth_window": 4}, {"trim_percentile": 0.0}, {"min_unlabeled": 0},
-        {"mst_mode": "turbo"}, {"k": 0},
+        {"trim_percentile": 100.5}, {"k": 0},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -371,4 +361,4 @@ class TestPavaConfig:
 
     def test_defaults_valid(self):
         cfg = PavaConfig()
-        assert cfg.use_adjusted and cfg.mst_mode == "exact"
+        assert cfg.use_adjusted and len(dataclasses.fields(cfg)) == 7

@@ -53,6 +53,9 @@ class TestAdjustedRandIndex:
     def test_degenerate_identical_all_singletons(self):
         assert adjusted_rand_index([1, 2, 3], [3, 1, 2]) == 1.0
 
+    def test_degenerate_identical_one_cluster(self):
+        assert adjusted_rand_index([4, 4, 4], [9, 9, 9]) == 1.0
+
     def test_degenerate_single_cluster_vs_singletons(self):
         assert adjusted_rand_index([1, 1, 1], [1, 2, 3]) == 0.0
 

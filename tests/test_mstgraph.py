@@ -196,17 +196,14 @@ class TestBuildMst:
         from_points = build_mst(PointSet(coords)).total_weight
         assert from_matrix == pytest.approx(from_points, rel=1e-12)
 
-    def test_approximate_mode_connected_and_near_optimal(self):
-        # "approximate" is another name for the exact tree.
+    def test_two_far_blobs_give_the_canonical_tree(self):
+        # 2-D takes the Delaunay candidates, 3-D the certified forest plus the stitch.
         rng = np.random.default_rng(10)
         for d in (2, 3):
             coords = np.vstack([rng.normal(size=(80, d)), rng.normal(size=(80, d)) + 50.0])
-            ref = canonical_mst(PointSet(coords))
-            _assert_edges(build_mst(PointSet(coords), "exact"), ref)
-            _assert_edges(build_mst(PointSet(coords), "approximate"), ref)
+            _assert_edges(build_mst(PointSet(coords)), canonical_mst(PointSet(coords)))
 
-    def test_approximate_mode_on_matrix(self):
-        # A matrix has already paid O(N^2): approximate builds the exact tree.
+    def test_matrix_prim_gives_the_canonical_tree(self):
         rng = np.random.default_rng(11)
         coords = np.vstack([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 30.0])
         tied = rng.integers(1, 4, size=(40, 40)).astype(float)
@@ -215,7 +212,7 @@ class TestBuildMst:
                    DissimilarityMatrix(np.triu(tied, 1) + np.triu(tied, 1).T),
                    DissimilarityMatrix(np.full((6, 6), 3.0) - 3.0 * np.eye(6))]
         for m in sources:
-            tree = build_mst(m, "approximate")
+            tree = build_mst(m)
             _assert_edges(tree, canonical_mst(m))
             if m is tie_free:
                 assert _triples(tree.edge_u, tree.edge_v, tree.edge_w) == _triples(*prim_reference(m))
@@ -239,7 +236,7 @@ class TestBuildMst:
         tied.append(DissimilarityMatrix(np.triu(rounded, 1) + np.triu(rounded, 1).T))
         for src, ties in [(s, False) for s in tie_free] + [(s, True) for s in tied]:
             before = src.coords.copy() if isinstance(src, PointSet) else src.values.copy()
-            tree = build_mst(src, "exact")
+            tree = build_mst(src)
             _assert_edges(tree, canonical_mst(src))
             if not ties:
                 # Without equal distances Prim's tree is the canonical one,
@@ -248,7 +245,7 @@ class TestBuildMst:
             after = src.coords if isinstance(src, PointSet) else src.values
             assert np.array_equal(after, before)
 
-    def test_approximate_edges_match_reference(self):
+    def test_point_sets_with_and_without_ties_give_the_canonical_tree(self):
         rng = np.random.default_rng(37)
         blobs = [_blob_grid(rng, 2), _blob_grid(rng, 3)]
         tie_free = [PointSet(c) for c in blobs]
@@ -262,7 +259,7 @@ class TestBuildMst:
                      PointSet(np.repeat(rng.normal(size=(5, 3)), 15, axis=0)[rng.permutation(75)]),
                      _points_1d(np.arange(72) % 6), PointSet(np.ones((7, 2)))]
         for src in tie_free + tie_heavy:
-            _assert_edges(build_mst(src, "approximate"), canonical_mst(src))
+            _assert_edges(build_mst(src), canonical_mst(src))
 
     def test_duplicates_keep_every_candidate_edge(self):
         # Three copies of each site: the kd-tree may list a copy before the
@@ -279,7 +276,7 @@ class TestBuildMst:
             assert np.array_equal(dists, np.linalg.norm(src.coords[idx] - src.coords[:, None], axis=2))
             # The copies collapse into sites before the forest, so the tree
             # is the canonical one whether or not a site outnumbers k_graph.
-            _assert_edges(build_mst(src, "approximate", (dists, idx)), canonical_mst(src))
+            _assert_edges(build_mst(src, (dists, idx)), canonical_mst(src))
 
     def test_stitch_tie_rule(self):
         # Singleton components make the stitch a plain Prim from vertex 0.
@@ -329,7 +326,7 @@ class TestBuildMst:
             return cKDTree(data, *args, **kwargs)
 
         monkeypatch.setattr(mstgraph, "cKDTree", counting_tree)
-        build_mst(PointSet(coords), "approximate")
+        build_mst(PointSet(coords))
         assert len(sizes) == 26
         assert sum(sizes) <= len(coords)
 
@@ -347,7 +344,7 @@ class TestBuildMst:
                 return super().query(x, *args, **kwargs)
 
         monkeypatch.setattr(mstgraph, "cKDTree", CountingTree)
-        tree = build_mst(PointSet(coords), "approximate")
+        tree = build_mst(PointSet(coords))
         _assert_edges(tree, canonical_mst(PointSet(coords)))
         assert sum(queried) <= len(coords)
 
@@ -376,17 +373,10 @@ class TestBuildMst:
 
     @given(_degenerate_sources())
     @settings(max_examples=60, deadline=None)
-    def test_approximate_tree_spans_degenerate_input(self, src):
+    def test_tree_spans_degenerate_input(self, src):
         with _time_bound():
-            approx = build_mst(src, "approximate")  # SpanningTree rejects a non-spanning edge set
-            exact = build_mst(src, "exact")
-        ref = canonical_mst(src)
-        _assert_edges(approx, ref)
-        _assert_edges(exact, ref)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            build_mst(_points_1d([0, 1]), "fuzzy")
+            tree = build_mst(src)  # SpanningTree rejects a non-spanning edge set
+        _assert_edges(tree, canonical_mst(src))
 
 
 class TestExactTreeInLowDimensions:
@@ -401,8 +391,8 @@ class TestExactTreeInLowDimensions:
         with _time_bound():
             points = PointSet(coords)
             ref = canonical_mst(points)
-            _assert_edges(build_mst(points, "exact"), ref)
-            _assert_edges(build_mst(DissimilarityMatrix(euclidean_matrix(coords)), "exact"), ref)
+            _assert_edges(build_mst(points), ref)
+            _assert_edges(build_mst(DissimilarityMatrix(euclidean_matrix(coords))), ref)
 
     @pytest.mark.parametrize("coords, certified", [
         ([[0.0], [2.0]], False),
@@ -430,12 +420,12 @@ class TestExactTreeInLowDimensions:
         for name in original:
             monkeypatch.setattr(mstgraph, name, counting(name))
         points = PointSet(np.array(coords))
-        tree = build_mst(points, "exact")
+        tree = build_mst(points)
         # No point set reaches the dense Prim.
         assert calls == ["_certified_tree"] * certified
         ref = canonical_mst(points)
         _assert_edges(tree, ref)
-        _assert_edges(build_mst(DissimilarityMatrix(euclidean_matrix(points.coords)), "exact"), ref)
+        _assert_edges(build_mst(DissimilarityMatrix(euclidean_matrix(points.coords))), ref)
 
 
 class TestAdjustWeights:
@@ -632,7 +622,7 @@ class TestSpanningTreeInvariants:
 class TestCertifiedForest:
     """Point sets that Delaunay does not serve get a forest certified from
     kNN lists plus a Prim over its components: the canonical tree, with or
-    without ties and duplicates, whatever the mode is called."""
+    without ties and duplicates."""
 
     @given(_tied_points_any_dim())
     @settings(max_examples=150, deadline=None)
@@ -648,11 +638,9 @@ class TestCertifiedForest:
 
         points = PointSet(coords)
         with _time_bound(), mock.patch.object(mstgraph, "_knn_forest", spy):
-            exact = build_mst(points, "exact")
-            approx = build_mst(points, "approximate")
+            tree = build_mst(points)
         ref = canonical_mst(points)
-        _assert_edges(exact, ref)
-        _assert_edges(approx, ref)
+        _assert_edges(tree, ref)
         # Each certified forest, over the sites named by their smallest ids,
         # lies inside the canonical tree.
         names = np.sort(np.unique(coords, axis=0, return_index=True)[1])
