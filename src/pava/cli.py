@@ -24,6 +24,7 @@ from .dataset import (
     load_points_csv,
     save_labels_csv,
     save_points_csv,
+    write_csv,
 )
 from .engine import ClusterModel, PavaConfig, run
 from .metrics import adjusted_rand_index, pairwise_f_score, rand_index
@@ -202,8 +203,8 @@ def _report_dict(source_path: Path, matrix: bool, src, cfg: PavaConfig,
 
 
 def _emit_artifacts(args, src, cfg: PavaConfig, model: ClusterModel) -> None:
-    if args.emit_kdist:  # recomputed, like the trees below: see ROADMAP item 4
-        np.savetxt(args.emit_kdist, k_distance_all(src, model.density.k).kdist.reshape(-1, 1), fmt="%.17g")
+    if args.emit_kdist:  # recomputed, like the trees below: see ROADMAP item 5
+        write_csv(args.emit_kdist, [k_distance_all(src, model.density.k).kdist], ["%.17g"])
     if args.emit_mst:
         from .mstgraph import adjust_weights, build_mst
 
@@ -214,27 +215,18 @@ def _emit_artifacts(args, src, cfg: PavaConfig, model: ClusterModel) -> None:
                          adjust_weights(raw, k_distance_all(src, model.density.k)))
     if args.emit_histogram:
         for i, (hist, rnd) in enumerate(zip(model.histograms, model.rounds), start=1):
-            rows = np.column_stack([
-                hist.bin_centers,
-                hist.raw_freq,
-                hist.shifted_freq,
-                hist.smoothed_freq,
-                np.full(hist.bins, rnd.radius),
-            ])
-            np.savetxt(
+            write_csv(
                 f"{args.emit_histogram}.round{i}.csv",
-                rows,
-                fmt="%.17g",
-                delimiter=",",
+                [hist.bin_centers, hist.raw_freq, hist.shifted_freq, hist.smoothed_freq,
+                 [rnd.radius] * hist.bins],
+                ["%.17g"] * 5,
                 header="bin_center,raw_freq,shifted_freq,smoothed_freq,radius",
-                comments="",
             )
 
 
 def _write_edges(path, tree) -> None:
-    rows = np.column_stack([tree.edge_u, tree.edge_v, tree.edge_w])
-    np.savetxt(path, rows, fmt=("%d", "%d", "%.17g"), delimiter=",",
-               header="u,v,weight", comments="")
+    write_csv(path, [tree.edge_u, tree.edge_v, tree.edge_w], ["%d", "%d", "%.17g"],
+              header="u,v,weight")
 
 
 def cmd_cluster(args) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,12 +148,32 @@ def _read_rows(path) -> list[list[str]]:
     return rows
 
 
-def load_points_csv(path, has_label_column: bool = False):
-    """Load a points CSV, optionally consuming the last column as ground-truth labels.
-
-    Returns (PointSet, LabeledPartition or None). Row/column positions in error
-    messages are 1-based over data rows (header excluded).
+def _load_table(path):
+    """The data rows, under ``_read_rows``' header rule, as a float64 array
+    read by numpy's C parser; None when the per-cell scan must run instead:
+    a cell numpy cannot read, ragged rows, a non-finite value or no data row.
+    What numpy reads, Python's ``float`` reads to the same bits, so the scan
+    only names the bad cell or reads what only ``float`` accepts (quoted
+    cells, ``1_0``, non-ASCII digits).
     """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            first = next((row for row in reader if row), [])
+            header = not any(_is_numeric(tok.strip()) for tok in first)
+            skip = reader.line_num if header else 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            table = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip, ndmin=2)
+    except (ValueError, csv.Error):
+        return None
+    if table.size == 0 or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _scan_points(path, has_label_column: bool):
+    """Per-cell reader of a points CSV: (coords, label tokens or None)."""
     rows = _read_rows(path)
     width = len(rows[0])
     for r, row in enumerate(rows, start=1):
@@ -166,16 +187,11 @@ def load_points_csv(path, has_label_column: bool = False):
     for r, row in enumerate(rows, start=1):
         for c in range(ncoord):
             coords[r - 1, c] = _parse_numeric(row[c], r, c + 1)
-
-    points = PointSet(coords)
-    labels = None
-    if has_label_column:
-        labels = LabeledPartition.from_raw([row[-1] for row in rows])
-    return points, labels
+    return coords, ([row[-1] for row in rows] if has_label_column else None)
 
 
-def load_matrix_csv(path) -> DissimilarityMatrix:
-    """Load a square dissimilarity matrix; small asymmetry is averaged away."""
+def _scan_matrix(path) -> np.ndarray:
+    """Per-cell reader of a square matrix CSV."""
     rows = _read_rows(path)
     n = len(rows)
     for r, row in enumerate(rows, start=1):
@@ -185,16 +201,50 @@ def load_matrix_csv(path) -> DissimilarityMatrix:
     for r, row in enumerate(rows, start=1):
         for c, token in enumerate(row, start=1):
             values[r - 1, c - 1] = _parse_numeric(token, r, c)
+    return values
+
+
+def load_points_csv(path, has_label_column: bool = False):
+    """Load a points CSV, optionally consuming the last column as ground-truth labels.
+
+    Returns (PointSet, LabeledPartition or None). Row/column positions in error
+    messages are 1-based over data rows (header excluded).
+    """
+    if has_label_column:
+        coords, tokens = _scan_points(path, True)
+        return PointSet(coords), LabeledPartition.from_raw(tokens)
+    coords = _load_table(path)
+    if coords is None:
+        coords = _scan_points(path, False)[0]
+    return PointSet(coords), None
+
+
+def load_matrix_csv(path) -> DissimilarityMatrix:
+    """Load a square dissimilarity matrix; small asymmetry is averaged away."""
+    values = _load_table(path)
+    if values is None or values.shape[0] != values.shape[1]:
+        values = _scan_matrix(path)
     return DissimilarityMatrix(values)
 
 
+def write_csv(path, columns, fmts, header=None) -> None:
+    """Write equal-length columns as comma-separated rows, each cell formatted
+    by its column's printf-style format, under an optional header line."""
+    line = ",".join(fmts) + "\n"
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(header + "\n")
+        fh.write("".join(line % row for row in rows))
+
+
 def save_points_csv(path, points: PointSet) -> None:
-    np.savetxt(path, points.coords, fmt="%.17g", delimiter=",")
+    write_csv(path, points.coords.T, ["%.17g"] * points.dim)
 
 
 def save_labels_csv(path, labels) -> None:
     arr = labels.labels if isinstance(labels, LabeledPartition) else np.asarray(labels)
-    np.savetxt(path, arr.reshape(-1, 1), fmt="%d")
+    write_csv(path, [arr.ravel()], ["%d"])
 
 
 def load_labels_csv(path) -> LabeledPartition:

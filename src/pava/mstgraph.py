@@ -217,7 +217,10 @@ def _certified_tree(x, names, knn):
     rows = np.repeat(np.arange(s), idx.shape[1] - 1)
     cols = idx[:, 1:].ravel()
     # Each listed pair once, ascending in (u, v); a mutual pair is listed twice.
-    u, v = np.divmod(np.unique(np.minimum(rows, cols) * s + np.maximum(rows, cols)), s)
+    # A sort and an adjacent-difference mask: np.unique hashes before it sorts.
+    keys = np.minimum(rows, cols) * s + np.maximum(rows, cols)
+    keys.sort()
+    u, v = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], s)
     w = _distances(sites, u, v)
     by_key = np.argsort(w, kind="stable")  # (w, u, v) order
     u, v, w = u[by_key], v[by_key], w[by_key]

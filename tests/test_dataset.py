@@ -1,8 +1,15 @@
+import tempfile
 import tracemalloc
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pava import dataset
+from pava.cli import _write_edges, main
 from pava.dataset import (
     DissimilarityMatrix,
     LabeledPartition,
@@ -14,6 +21,7 @@ from pava.dataset import (
     pairwise_distance,
     save_labels_csv,
     save_points_csv,
+    write_csv,
 )
 
 from oracles import euclidean_matrix
@@ -143,6 +151,205 @@ class TestLoadMatrixCsv:
         f.write_text("0,1,2\n1,0\n")
         with pytest.raises(ValueError, match="square"):
             load_matrix_csv(f)
+
+    def test_peak_memory_stays_near_two_matrices(self, tmp_path):
+        # numpy's reader plus the one checking buffer measured 2.0-2.1 N^2 doubles;
+        # the per-cell scan held every cell as a string too, 11.5 N^2.
+        n = 400
+        f = tmp_path / "m.csv"
+        values = euclidean_matrix(np.random.default_rng(5).normal(size=(n, 3)))
+        np.savetxt(f, values, fmt="%.17g", delimiter=",")
+        tracemalloc.start()
+        try:
+            m = load_matrix_csv(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(m.values, values)
+        assert peak < 3 * n * n * 8
+
+
+def _outcome(load, path):
+    """A loader's result as ("ok", shape, bytes) or ("error", message)."""
+    try:
+        values = load(path)
+    except ValueError as exc:
+        return ("error", str(exc))
+    return ("ok", values.shape, values.tobytes())
+
+
+def _points_fast(path):
+    return load_points_csv(path)[0].coords
+
+
+def _points_scan(path):
+    return PointSet(dataset._scan_points(path, False)[0]).coords
+
+
+def _matrix_fast(path):
+    return load_matrix_csv(path).values
+
+
+def _matrix_scan(path):
+    return DissimilarityMatrix(dataset._scan_matrix(path)).values
+
+
+# Each text is a 2 x 2 dissimilarity matrix, and so also two 2-D points,
+# unless it is malformed on purpose.
+READER_CORPUS = {
+    "plain": "0,1\n1,0\n",
+    "no final newline": "0,1.5e-3\n1.5e-3,0",
+    "quoted cells": '"0",1\n"1","0"\n',
+    "underscore digits": "0,1_0\n1_0,0\n",
+    "full-width digit": "0,\uff11\n\uff11,0\n",
+    "byte order mark": "\ufeff0,1\n1,0\n",
+    "byte order mark on a header": "\ufeffx,y\n0,1\n1,0\n",
+    "crlf": "0,1\r\n1,0\r\n",
+    "lone cr": "0,1\r1,0\r",
+    "lone cr after a header": "x,y\r0,1\r1,0\r",
+    "padded cells": " 0 ,\t1 \n1 , 0\n",
+    "nan": "0,nan\nnan,0\n",
+    "infinity": "0,Infinity\nInfinity,0\n",
+    "overflow": "0,1e999\n1e999,0\n",
+    "whitespace-only line": "0,1\n   \n1,0\n",
+    "trailing comma": "0,1,\n1,0,\n",
+    "empty field": "0,,1\n1,0,0\n",
+    "ragged rows": "0,1\n1\n",
+    "hex cell": "0,0x1\n0x1,0\n",
+    "hash-led header": "#x,y\n0,1\n1,0\n",
+    "hash-led data row": "#0,1\n1,0\n",
+    "blank lines before a header": "\n\nx,y\n0,1\n1,0\n",
+    "blank lines between rows": "0,1\n\n\n1,0\n\n",
+    "quoted header over two lines": '"x\ny",z\n0,1\n1,0\n',
+    "header only": "x,y\n",
+    "empty file": "",
+    "blank lines only": "\n\n",
+    "first row 0;0 is a header": "0;0\n0,1\n1,0\n",
+    "single row": "0,1\n",
+    "single column": "0\n1\n",
+    "three columns": "0,1,2\n1,0,3\n",
+    "negative zero and the smallest subnormal": "-0,5e-324\n5e-324,-0\n",
+    "a large double": "0,8.9e307\n8.9e307,0\n",
+}
+
+
+class TestReaderParity:
+    """numpy's reader and the per-cell scan give the same bits or the same error."""
+
+    @pytest.mark.parametrize("name", sorted(READER_CORPUS))
+    @pytest.mark.parametrize("fast,scan", [(_points_fast, _points_scan),
+                                           (_matrix_fast, _matrix_scan)],
+                             ids=["points", "matrix"])
+    def test_corpus(self, tmp_path, name, fast, scan):
+        f = tmp_path / "in.csv"
+        f.write_bytes(READER_CORPUS[name].encode())
+        assert _outcome(fast, f) == _outcome(scan, f)
+
+    def test_valid_input_skips_the_scan(self, tmp_path, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("per-cell scan ran on a valid input")
+
+        monkeypatch.setattr(dataset, "_scan_points", no_scan)
+        monkeypatch.setattr(dataset, "_scan_matrix", no_scan)
+        for name in ("plain", "crlf", "lone cr after a header", "padded cells",
+                     "blank lines before a header", "quoted header over two lines",
+                     "first row 0;0 is a header", "negative zero and the smallest subnormal"):
+            f = tmp_path / "in.csv"
+            f.write_bytes(READER_CORPUS[name].encode())
+            load_points_csv(f)
+            load_matrix_csv(f)
+
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=6, max_size=60),
+           width=st.integers(1, 3), fmt=st.sampled_from(["%.17g", "repr"]))
+    @settings(max_examples=100, deadline=None)
+    def test_finite_doubles_round_trip_bit_for_bit(self, bits, width, fmt):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        values = values[np.isfinite(values)]
+        rows = len(values) // width
+        if rows < 2:
+            return
+        coords = values[: rows * width].reshape(rows, width)
+        cell = repr if fmt == "repr" else (lambda x: "%.17g" % x)
+        text = "".join(",".join(cell(x) for x in row) + "\n" for row in coords.tolist())
+        with tempfile.TemporaryDirectory() as tmp:
+            f = Path(tmp) / "in.csv"
+            f.write_text(text)
+            assert load_points_csv(f)[0].coords.tobytes() == coords.tobytes()
+            assert _points_scan(f).tobytes() == coords.tobytes()
+
+
+def _special_values(rng, shape):
+    """Random doubles salted with -0.0, the smallest subnormal and the largest double."""
+    values = rng.normal(scale=rng.choice([1e-300, 1.0, 1e300], size=shape))
+    flat = values.reshape(-1)
+    flat[rng.integers(0, flat.size, size=3)] = [-0.0, 5e-324, np.finfo(float).max]
+    return values
+
+
+class TestWriterParity:
+    """Every writer matches the np.savetxt call it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_points_and_labels(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 5))
+        points = PointSet(_special_values(rng, (n, d)))
+        labels = rng.integers(1, 4, size=n)
+        save_points_csv(tmp_path / "p.csv", points)
+        save_labels_csv(tmp_path / "l.csv", labels)
+        save_labels_csv(tmp_path / "lp.csv", LabeledPartition.from_raw(labels.tolist()))
+        np.savetxt(tmp_path / "p_ref.csv", points.coords, fmt="%.17g", delimiter=",")
+        np.savetxt(tmp_path / "l_ref.csv", labels.reshape(-1, 1), fmt="%d")
+        np.savetxt(tmp_path / "lp_ref.csv",
+                   LabeledPartition.from_raw(labels.tolist()).labels.reshape(-1, 1), fmt="%d")
+        for name in ("p", "l", "lp"):
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}_ref.csv").read_bytes())
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_edges_kdist_and_histogram(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 40))
+        tree = SimpleNamespace(edge_u=rng.integers(0, 10**6, size=n),
+                               edge_v=rng.integers(0, 10**6, size=n),
+                               edge_w=np.abs(_special_values(rng, n)))
+        _write_edges(tmp_path / "e.csv", tree)
+        np.savetxt(tmp_path / "e_ref.csv",
+                   np.column_stack([tree.edge_u, tree.edge_v, tree.edge_w]),
+                   fmt=("%d", "%d", "%.17g"), delimiter=",", header="u,v,weight", comments="")
+
+        kdist = np.abs(_special_values(rng, n))
+        write_csv(tmp_path / "k.csv", [kdist], ["%.17g"])
+        np.savetxt(tmp_path / "k_ref.csv", kdist.reshape(-1, 1), fmt="%.17g")
+
+        # Histogram columns as the CLI passes them: counts as integers, the
+        # round's radius as a list.
+        centers, smoothed = _special_values(rng, n), _special_values(rng, n)
+        raw = rng.integers(0, 10**6, size=n)
+        radius = float(_special_values(rng, 1)[0])
+        header = "bin_center,raw_freq,shifted_freq,smoothed_freq,radius"
+        write_csv(tmp_path / "h.csv", [centers, raw, raw - 1, smoothed, [radius] * n],
+                  ["%.17g"] * 5, header=header)
+        np.savetxt(tmp_path / "h_ref.csv",
+                   np.column_stack([centers, raw, raw - 1, smoothed, np.full(n, radius)]),
+                   fmt="%.17g", delimiter=",", header=header, comments="")
+        for name in ("e", "k", "h"):
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}_ref.csv").read_bytes())
+
+    def test_no_writer_calls_savetxt(self, tmp_path, monkeypatch):
+        def no_savetxt(*args, **kwargs):
+            raise AssertionError("np.savetxt called")
+
+        monkeypatch.setattr(np, "savetxt", no_savetxt)
+        out = tmp_path / "gen"
+        assert main(["generate", "--shape", "ccrings", "--n", "300", "--out", str(out)]) == 0
+        assert main(["cluster", f"{out}.points.csv",
+                     "--labels-out", str(tmp_path / "pred.csv"),
+                     "--report-out", str(tmp_path / "r.json"),
+                     "--emit-mst", str(tmp_path / "t"), "--emit-kdist", str(tmp_path / "k.csv"),
+                     "--emit-histogram", str(tmp_path / "h")]) == 0
+        assert (tmp_path / "h.round1.csv").exists()
 
 
 class TestGenerateSynthetic:
