@@ -206,13 +206,14 @@ def _emit_artifacts(args, src, cfg: PavaConfig, model: ClusterModel) -> None:
     if args.emit_kdist:  # recomputed, like the trees below: see ROADMAP item 5
         write_csv(args.emit_kdist, [k_distance_all(src, model.density.k).kdist], ["%.17g"])
     if args.emit_mst:
-        from .mstgraph import adjust_weights, build_mst
+        from .mstgraph import adjust_weights, build_mst, forest_k_graph
 
-        raw = build_mst(src)
+        # One neighbour query serves the tree and its adjustment, as in run().
+        density, lists = k_distance_all(src, model.density.k, forest_k_graph(src.n))
+        raw = build_mst(src, lists)
         _write_edges(f"{args.emit_mst}.mst_raw.csv", raw)
         if cfg.use_adjusted:
-            _write_edges(f"{args.emit_mst}.mst_adjusted.csv",
-                         adjust_weights(raw, k_distance_all(src, model.density.k)))
+            _write_edges(f"{args.emit_mst}.mst_adjusted.csv", adjust_weights(raw, density))
     if args.emit_histogram:
         for i, (hist, rnd) in enumerate(zip(model.histograms, model.rounds), start=1):
             write_csv(

@@ -64,7 +64,8 @@ class DissimilarityMatrix:
             raise ValueError("matrix contains non-finite values")
         if np.any(values < 0):
             raise ValueError("matrix contains negative entries")
-        tol = SYMMETRY_RTOL * max(values.max(), 1.0)
+        largest = values.max()
+        tol = SYMMETRY_RTOL * max(largest, 1.0)
         # One N x N buffer serves the symmetry check and then the result.
         out = np.subtract(values, values.T)
         if np.abs(out, out=out).max() > tol:
@@ -72,8 +73,13 @@ class DissimilarityMatrix:
         if np.abs(np.diag(values)).max() > tol:
             raise ValueError("matrix diagonal is not zero")
         # Canonicalize: exact symmetry, exact zero diagonal.
-        np.add(values, values.T, out=out)
+        with np.errstate(over="ignore"):
+            np.add(values, values.T, out=out)
         np.divide(out, 2.0, out=out)
+        if largest > np.finfo(np.float64).max / 2:
+            # Where a + b overflowed, a / 2 + b / 2 is their mean.
+            over = np.isinf(out)
+            out[over] = values[over] / 2 + values.T[over] / 2
         np.fill_diagonal(out, 0.0)
         object.__setattr__(self, "values", out)
 

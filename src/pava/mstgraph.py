@@ -3,11 +3,11 @@
 The minmax (path) distance between two objects is the smallest possible
 bottleneck: the minimum over all connecting paths of the maximum edge weight
 along the path. On the minimum spanning tree of the complete dissimilarity
-graph (one exact builder per input kind: dense Prim for a matrix, Kruskal over
-sorted neighbours, Delaunay edges or a certified kNN forest for points), the
-unique tree path realizes that minimum. A tree's Kruskal dendrogram leaf
-order, read lazily, puts the minmax distance between the leaves at positions
-i < j at max(gap[i:j]) (Gower & Ross 1969), so a center's distances to every
+graph (one exact builder per input kind: dense Prim for a matrix, the sorted
+chain for 1-D points, a certified kNN forest for other points), the unique
+tree path realizes that minimum. A tree's Kruskal dendrogram leaf order,
+read lazily, puts the minmax distance between the leaves at positions i < j
+at max(gap[i:j]) (Gower & Ross 1969), so a center's distances to every
 object take two prefix-maximum scans.
 
 Density adjustment rescales each tree edge to the cube root of
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.spatial import Delaunay, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 from .dataset import PointSet
 from .neighbors import DensityProfile, default_k, nearest_lists
@@ -116,12 +116,12 @@ def build_mst(src, knn=None) -> SpanningTree:
 
     - A DissimilarityMatrix: dense Prim (``_prim_exact``), O(N^2) time and
       O(N) memory.
-    - A PointSet: Kruskal over candidate edges (``_kruskal_candidates``):
-      sorted neighbours in 1-D, Delaunay edges in 2-D, else the tree of a
-      kNN forest certified by the cut property, stitched by Prim
-      (``_certified_tree``). ``knn``, the (dists, idx) lists that
-      ``k_distance_all(src, k, forest_k_graph(N))`` returns, saves that
-      forest's neighbour query.
+    - A PointSet (``_kruskal_candidates``): equal points collapse into
+      sites; 1-D sites take the sorted chain, and sites of 2 or more
+      dimensions the tree of a kNN forest certified by the cut property,
+      stitched by Prim (``_certified_tree``). ``knn``, the (dists, idx)
+      lists that ``k_distance_all(src, k, forest_k_graph(N))`` returns,
+      saves that forest's neighbour query.
     """
     if isinstance(src, PointSet):
         return _kruskal_candidates(src, knn)
@@ -135,22 +135,15 @@ def _distances(x, u, v):
 
 
 def _kruskal_candidates(p: PointSet, knn) -> SpanningTree:
-    """Exact tree of a point set by Kruskal over candidate edges.
+    """Exact tree of a point set: duplicate edges plus the tree of its sites.
 
-    Equal points form one site, named by its smallest id. The candidates are
-    a zero-weight edge from every other point to its site's name, and edges
-    between site names: consecutive sites in sorted order in 1-D, the
-    Delaunay triangulation's edges over the sites in 2-D (Shamos & Hoey
-    1975). No other site lies in the closed disc whose diameter is an edge
-    of any minimum spanning tree of the sites, since such a site would make
-    that edge the strict maximum of a triangle; so that edge is in every
-    Delaunay triangulation, and Kruskal over the candidates in (w, u, v)
-    order picks the canonical tree. (That holds in exact arithmetic. Where
-    two sites lie within about 1e-8 of an edge's length of each other,
-    rounding can give two different distances one computed weight, and the
-    tree there may be another one of the same weights.) Any other sites (3 or
-    more dimensions, or 2-D sites that are collinear, fewer than three, or
-    ``coplanar`` to Qhull) give their own tree by ``_certified_tree``.
+    Equal points form one site, named by its smallest id, and every other
+    point gets a zero-weight edge to its site's name. In 1-D consecutive
+    sites in sorted order form the sites' tree. (That holds in exact
+    arithmetic. Where rounding gives two different distances one computed
+    weight, as for the points 0, 1 and 1e-20, the chain may be a tree of the
+    same weights other than the canonical one.) Sites in 2 or more
+    dimensions give their canonical tree by ``_certified_tree``.
     """
     x = p.coords
     order = np.lexsort(x.T[::-1])  # equal points adjacent, ids ascending
@@ -159,32 +152,15 @@ def _kruskal_candidates(p: PointSet, knn) -> SpanningTree:
     name = order[first]  # each site's smallest id, in sorted order
     copies = ~first
     dup_u = name[np.cumsum(first)[copies] - 1]
-    a = None
     if p.dim == 1:
         a, b = name[:-1], name[1:]
-    elif p.dim == 2:
-        try:
-            tri = Delaunay(xs[first])
-        except QhullError:
-            tri = None
-        if tri is not None and not tri.coplanar.size:
-            start, near = tri.vertex_neighbor_vertices
-            del tri
-            site = np.repeat(np.arange(len(name)), np.diff(start))
-            one_way = site < near
-            a, b = name[site[one_way]], name[near[one_way]]
-    certified = a is None
-    if certified:
+    else:
         a, b = _certified_tree(x, np.sort(name), knn)
     u = np.concatenate([dup_u, np.minimum(a, b)])
     v = np.concatenate([order[copies], np.maximum(a, b)])
     w = _distances(x, u, v)
     by_key = np.lexsort((v, u, w))
-    u, v, w = u[by_key], v[by_key], w[by_key]
-    if not certified:
-        picked, _ = _knn_forest(p.n, u, v)
-        u, v, w = u[picked], v[picked], w[picked]
-    return SpanningTree(p.n, u, v, w, "raw")
+    return SpanningTree(p.n, u[by_key], v[by_key], w[by_key], "raw")
 
 
 def _certified_tree(x, names, knn):
@@ -199,7 +175,9 @@ def _certified_tree(x, names, knn):
     lighter than that bound at each member whose own lightest crossing
     candidate is not. ``_knn_forest`` takes certified picks in Borůvka rounds
     (March, Ram & Gray 2010 certify the same way over a dual tree), and
-    ``_stitch`` joins the forest's components by Prim.
+    ``_stitch`` joins the forest's components by Prim. On line-like sites a
+    component soon lists only its own members, so the stitch does most of
+    the joins there.
 
     ``knn`` are ``nearest_lists``' (dists, idx) over every row of ``x``; they
     serve only when ``names`` holds every row. Otherwise, or without them,

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from pava.cli import main
+from pava import mstgraph, neighbors
+from pava.cli import _write_edges, main
 from pava.dataset import (
     PointSet,
     generate_synthetic,
@@ -14,7 +15,7 @@ from pava.dataset import (
 from pava.engine import run
 from pava.metrics import adjusted_rand_index
 from pava.mstgraph import adjust_weights, build_mst
-from pava.neighbors import default_k, k_distance_all
+from pava.neighbors import default_k, k_distance_all, nearest_lists
 
 from oracles import euclidean_matrix
 
@@ -142,9 +143,27 @@ class TestCluster:
         bad.write_text("1,2\n3,oops\n")
         assert main(["cluster", str(bad)]) == 1
 
-    def test_emit_artifacts(self, moons_files, tmp_path):
+    def test_near_collinear_five_points_exit_0(self, tmp_path):
+        # Qhull left one of these sites out of the triangulation without
+        # calling it coplanar, and the tree came up one edge short.
+        path = tmp_path / "five.csv"
+        path.write_text("2,0\n-1e-12,0\n1,1e-12\n1,0\n0,0\n")
+        assert main(["cluster", str(path), "--labels-out", str(tmp_path / "p.csv"),
+                     "--report-out", str(tmp_path / "r.json")]) == 0
+
+    def test_emit_artifacts(self, moons_files, tmp_path, monkeypatch):
         pf, _ = moons_files
         prefix = tmp_path / "dump"
+        queries = []
+
+        def counting(p, count):
+            queries.append(count)
+            return nearest_lists(p, count)
+
+        # The run's query and one per emitted file: the tree and its
+        # adjustment share one, as in the run.
+        monkeypatch.setattr(neighbors, "nearest_lists", counting)
+        monkeypatch.setattr(mstgraph, "nearest_lists", counting)
         code = main([
             "cluster", str(pf),
             "--labels-out", str(tmp_path / "p.csv"),
@@ -154,6 +173,8 @@ class TestCluster:
             "--emit-histogram", str(prefix),
         ])
         assert code == 0
+        monkeypatch.undo()
+        assert len(queries) == 3
         raw_edges = (tmp_path / "dump.mst_raw.csv").read_text().splitlines()
         adj_edges = (tmp_path / "dump.mst_adjusted.csv").read_text().splitlines()
         assert raw_edges[0] == "u,v,weight"
@@ -179,9 +200,12 @@ class TestCluster:
                        fmt=("%d", "%d", "%.17g"), delimiter=",", header="u,v,weight",
                        comments="")
         assert (tmp_path / "kdist.csv").read_bytes() == (ref / "kdist.csv").read_bytes()
+        _write_edges(ref / "model_raw.csv", model.raw_tree)
+        _write_edges(ref / "model_adjusted.csv", model.tree)
         for name in ("raw", "adjusted"):
-            assert ((tmp_path / f"dump.mst_{name}.csv").read_bytes()
-                    == (ref / f"mst_{name}.csv").read_bytes())
+            emitted = (tmp_path / f"dump.mst_{name}.csv").read_bytes()
+            assert emitted == (ref / f"mst_{name}.csv").read_bytes()
+            assert emitted == (ref / f"model_{name}.csv").read_bytes()
         assert len(model.histograms) >= 1
         for i, (hist, rnd) in enumerate(zip(model.histograms, model.rounds), start=1):
             rows = np.column_stack([hist.bin_centers, hist.raw_freq, hist.shifted_freq,

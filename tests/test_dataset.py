@@ -1,5 +1,6 @@
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -63,6 +64,13 @@ class TestDissimilarityMatrix:
         for n in (0, 1):
             with pytest.raises(ValueError, match=f"need at least 2 objects, got {n}"):
                 DissimilarityMatrix(np.zeros((n, n)))
+
+    def test_entries_near_the_largest_double_stay_finite(self):
+        big = np.finfo(np.float64).max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = DissimilarityMatrix(np.array([[0.0, big], [big, 0.0]]))
+        assert np.array_equal(d.values, [[0.0, big], [big, 0.0]])
 
     def test_canonical_values_use_one_n_by_n_buffer(self):
         # Separate temporaries for the difference, its absolute value and the

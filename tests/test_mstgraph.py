@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial import cKDTree
@@ -98,6 +98,19 @@ def _tied_points(draw):
         t = np.array(draw(st.lists(ints, min_size=run, max_size=run)), float)
         coords[:run] = np.outer(t, step) + coords[0]
     return coords * draw(st.sampled_from([1.0, 0.05]))
+
+
+@st.composite
+def _near_tied_points(draw):
+    """4 to 8 distinct points on a small 2-D integer lattice, each coordinate
+    moved by 0, 1e-16, 3e-16 or 1e-12 either way: distances that rounding
+    may tie or order apart from their exact values."""
+    n = draw(st.integers(min_value=4, max_value=8))
+    ints = st.integers(min_value=0, max_value=3)
+    lattice = draw(st.lists(st.tuples(ints, ints), min_size=n, max_size=n, unique=True))
+    offsets = st.sampled_from([0.0, 1e-16, -1e-16, 3e-16, -3e-16, 1e-12, -1e-12])
+    moved = draw(st.lists(st.tuples(offsets, offsets), min_size=n, max_size=n))
+    return (np.array(lattice, float) + np.array(moved)).tolist()
 
 
 @contextmanager
@@ -197,7 +210,7 @@ class TestBuildMst:
         assert from_matrix == pytest.approx(from_points, rel=1e-12)
 
     def test_two_far_blobs_give_the_canonical_tree(self):
-        # 2-D takes the Delaunay candidates, 3-D the certified forest plus the stitch.
+        # Both take the certified forest plus the stitch.
         rng = np.random.default_rng(10)
         for d in (2, 3):
             coords = np.vstack([rng.normal(size=(80, d)), rng.normal(size=(80, d)) + 50.0])
@@ -380,10 +393,9 @@ class TestBuildMst:
 
 
 class TestExactTreeInLowDimensions:
-    """The exact tree of 1-D and 2-D point sets comes from Kruskal over
-    candidate edges, or from the certified kNN forest where Qhull cannot
-    triangulate the sites; either way it is the canonical tree of the points
-    and of their matrix."""
+    """The exact tree of 1-D point sets is the sorted chain of their sites,
+    and that of 2-D point sets comes from the certified kNN forest; either
+    way it is the canonical tree of the points and of their matrix."""
 
     @given(_tied_points())
     @settings(max_examples=150, deadline=None)
@@ -394,20 +406,38 @@ class TestExactTreeInLowDimensions:
             _assert_edges(build_mst(points), ref)
             _assert_edges(build_mst(DissimilarityMatrix(euclidean_matrix(coords))), ref)
 
-    @pytest.mark.parametrize("coords, certified", [
+    @given(_near_tied_points())
+    @example([[1.0000000000000002, -1e-16], [0.999999999999, 1.0], [3e-16, 3.0000000000000004],
+              [0.9999999999999999, 1.0], [1e-16, 1.9999999999999998], [1e-12, 3.0],
+              [-1e-12, 2.0]])
+    @settings(max_examples=150, deadline=None)
+    def test_near_tied_points_and_matrix_give_the_canonical_tree(self, coords):
+        # Distances that differ by less than rounding: a Delaunay candidate
+        # set took (4, 5) at 1.0000000000000002 for the example's (5, 6) at 1.0.
+        with _time_bound():
+            points = PointSet(np.array(coords))
+            ref = canonical_mst(points)
+            _assert_edges(build_mst(points), ref)
+            _assert_edges(build_mst(DissimilarityMatrix(euclidean_matrix(points.coords))), ref)
+
+    # ``degenerate`` marks sites that a triangulation cannot serve: fewer
+    # than three, collinear, or two of them nearly coincident. They take the
+    # same builder as any other sites of their dimension.
+    @pytest.mark.parametrize("coords, degenerate", [
         ([[0.0], [2.0]], False),
-        ([[1.0, 1.0], [0.0, 2.0]], True),  # two sites: Qhull needs three
+        ([[1.0, 1.0], [0.0, 2.0]], True),
         ([[0.0], [2.0], [1.0]], False),
         ([[0.0, 0.0], [2.0, 0.0], [1.0, 1.0]], False),
         ([[3.0]] * 5, False),
         ([[3.0, -1.0]] * 6, True),
         ([[0.0, 0.0], [0.0, 0.0], [3.0, 4.0], [3.0, 4.0], [1.0, 0.0]], False),
-        ([[0.0, 0.0], [2.0, 1.0], [4.0, 2.0], [2.0, 1.0], [-2.0, -1.0]], True),  # collinear
-        # Qhull leaves the last point, 1e-15 from the one before, out of the
-        # triangulation as coplanar.
+        ([[0.0, 0.0], [2.0, 1.0], [4.0, 2.0], [2.0, 1.0], [-2.0, -1.0]], True),
         ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5], [0.5, 0.5 + 1e-15]], True),
+        # Qhull dropped one of these sites without calling it coplanar, and
+        # the tree came up one edge short.
+        ([[2.0, 0.0], [-1e-12, 0.0], [1.0, 1e-12], [1.0, 0.0], [0.0, 0.0]], True),
     ])
-    def test_small_and_degenerate_point_sets(self, monkeypatch, coords, certified):
+    def test_small_and_degenerate_point_sets(self, monkeypatch, coords, degenerate):
         calls = []
 
         def counting(name):
@@ -421,8 +451,9 @@ class TestExactTreeInLowDimensions:
             monkeypatch.setattr(mstgraph, name, counting(name))
         points = PointSet(np.array(coords))
         tree = build_mst(points)
-        # No point set reaches the dense Prim.
-        assert calls == ["_certified_tree"] * certified
+        # 1-D sites take their sorted chain, 2-D sites the certified forest,
+        # and no point set reaches the dense Prim.
+        assert calls == ["_certified_tree"] * (points.dim == 2)
         ref = canonical_mst(points)
         _assert_edges(tree, ref)
         _assert_edges(build_mst(DissimilarityMatrix(euclidean_matrix(points.coords))), ref)
@@ -620,8 +651,8 @@ class TestSpanningTreeInvariants:
 
 
 class TestCertifiedForest:
-    """Point sets that Delaunay does not serve get a forest certified from
-    kNN lists plus a Prim over its components: the canonical tree, with or
+    """Point sets of 2 or more dimensions get a forest certified from kNN
+    lists plus a Prim over its components: the canonical tree, with or
     without ties and duplicates."""
 
     @given(_tied_points_any_dim())
@@ -663,14 +694,22 @@ class TestCertifiedForest:
             _assert_edges(build_mst(points), canonical_mst(points))
 
     def test_collinear_points_take_the_line_order(self):
-        # Qhull rejects collinear 2-D sites; the certified forest serves
-        # them in about linear time instead of the dense Prim's O(N^2).
-        t = np.random.default_rng(47).normal(size=6000)
+        # The certified forest serves collinear and near-collinear 2-D sites
+        # in about linear time instead of the dense Prim's O(N^2), although
+        # its components outgrow their kNN lists along the line.
+        rng = np.random.default_rng(47)
+        t = rng.normal(size=6000)
+        on_line = np.outer(t, [0.6, 0.8]) + [1.0, -2.0]
+        near_line = on_line + 1e-9 * rng.normal(size=on_line.shape)
         with _time_bound(2.0):
-            line = build_mst(PointSet(np.outer(t, [0.6, 0.8]) + [1.0, -2.0]))
+            line = build_mst(PointSet(on_line))
         ref = build_mst(_points_1d(t))
         assert np.array_equal(line.edge_u, ref.edge_u)
         assert np.array_equal(line.edge_v, ref.edge_v)
+        with _time_bound(2.0):
+            build_mst(PointSet(near_line))
+        want = minimum_spanning_tree(euclidean_matrix(near_line[:1500])).sum()
+        assert build_mst(PointSet(near_line[:1500])).total_weight == pytest.approx(want, rel=1e-12)
 
     def test_duplicate_heavy_points_collapse_into_sites(self):
         # 15 copies of each site: every copy lists only copies at distance
