@@ -211,50 +211,35 @@ def _certified_tree(x, names, knn):
 
 
 def _prim_exact(src) -> SpanningTree:
-    """Prim over a DissimilarityMatrix from vertex 0 over the m vertices
-    still outside the tree.
+    """Dense Prim (Prim 1957) over a DissimilarityMatrix from vertex 0.
 
-    Slots [0, m) of ``rest``, ``best`` and ``parent`` hold those vertices, the
-    weight of their lightest edge into the tree and its tree end; the vertex
-    taken into the tree leaves its slot to the one in slot m - 1. Edges are
-    ordered by (w, min, max): a slot's edge is replaced by an equal-weight
-    one only from a smaller tree end, and among equal keys the slot with the
-    smallest (min(parent, v), max(parent, v)) joins. Returns the edges as
-    rows u < v in (w, u, v) order.
+    ``best[v]`` is the weight of outside vertex v's lightest edge into the
+    tree and ``parent[v]`` its tree end; a vertex inside the tree has
+    ``best`` inf. Edges are ordered by (w, min, max): v's edge is replaced by
+    an equal-weight one only from a smaller tree end, and among equal
+    ``best`` the vertex with the smallest (min(parent, v), max(parent, v))
+    joins. Returns the edges as rows u < v in (w, u, v) order.
     """
     n = src.n
-    rest = np.arange(1, n)
-    best = np.full(n - 1, np.inf)
-    parent = np.full(n - 1, n, dtype=np.int64)
-    du = np.empty(n - 1)
-    lighter, tie, later = (np.empty(n - 1, dtype=bool) for _ in range(3))
-    edge_u = np.empty(n - 1, dtype=np.int64)
-    edge_v = np.empty(n - 1, dtype=np.int64)
+    best = src.values[0].copy()
+    parent = np.zeros(n, dtype=np.int64)
+    outside = np.ones(n, dtype=bool)
+    edge_u, edge_v = np.empty((2, n - 1), dtype=np.int64)
     edge_w = np.empty(n - 1)
     u = 0
-    for m in range(n - 1, 0, -1):
-        d, b, p, r = du[:m], best[:m], parent[:m], rest[:m]
-        lt, eq, gt = lighter[:m], tie[:m], later[:m]
-        np.take(src.values[u], r, out=d)
-        # A tie on weight keeps the smaller parent id.
-        np.less(d, b, out=lt)
-        np.equal(d, b, out=eq)
-        np.logical_and(eq, np.greater(p, u, out=gt), out=eq)
-        np.logical_or(lt, eq, out=lt)
-        np.copyto(b, d, where=lt)
-        np.copyto(p, u, where=lt)
-        # The lightest edge into the tree; equal weights take the smallest
-        # (min, max) of the edge.
-        j = int(np.argmin(b))
-        if np.count_nonzero(np.equal(b, b[j], out=eq)) > 1:
-            ties = np.flatnonzero(eq)
-            ends = p[ties], r[ties]
-            j = int(ties[np.lexsort((np.maximum(*ends), np.minimum(*ends)))[0]])
-        i = n - 1 - m
-        edge_u[i], edge_v[i], edge_w[i] = p[j], r[j], b[j]
-        u = int(r[j])
-        last = m - 1
-        r[j], b[j], p[j] = r[last], b[last], p[last]
+    for i in range(n - 1):
+        outside[u] = False
+        best[u] = np.inf
+        row = src.values[u]
+        closer = outside & ((row < best) | ((row == best) & (parent > u)))
+        np.copyto(best, row, where=closer)
+        np.copyto(parent, u, where=closer)
+        u = int(np.argmin(best))
+        tied = np.flatnonzero(best == best[u])
+        if len(tied) > 1:
+            ends = parent[tied], tied
+            u = int(tied[np.lexsort((np.maximum(*ends), np.minimum(*ends)))[0]])
+        edge_u[i], edge_v[i], edge_w[i] = parent[u], u, best[u]
     low, high = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
     ranked = np.lexsort((high, low, edge_w))
     return SpanningTree(n, low[ranked], high[ranked], edge_w[ranked], "raw")
@@ -425,10 +410,13 @@ def _stitch(x, comp):
 
 
 def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:
-    """Rescale every edge to cbrt(weight * kdist(u) * kdist(v)).
+    """Rescale every edge to cbrt(weight * (kdist(u) * kdist(v))).
 
-    The edge set is unchanged. k-distances are floored at a tiny fraction of
-    the largest raw edge weight so duplicate points keep distinct-point edges
+    The edge set and its row order are unchanged, and the k-distances are
+    multiplied first, so an edge's weight does not depend on which end is u.
+    Where that product overflows, the edge takes cbrt(weight) * (c(u) * c(v))
+    with c = cbrt(kdist). k-distances are floored at a tiny fraction of the
+    largest raw edge weight so duplicate points keep distinct-point edges
     positive.
     """
     if tree.kind != "raw":
@@ -438,8 +426,14 @@ def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:
         raise ValueError(f"density length {kdist.shape} does not match n={tree.n}")
     floor = KDIST_FLOOR_REL * float(tree.edge_w.max()) if tree.n > 1 else 0.0
     kdist = np.maximum(kdist, floor)
-    new_w = np.cbrt(tree.edge_w * kdist[tree.edge_u] * kdist[tree.edge_v])
-    return SpanningTree(tree.n, tree.edge_u, tree.edge_v, new_w, "adjusted")
+    u, v, w = tree.edge_u, tree.edge_v, tree.edge_w
+    with np.errstate(over="ignore"):
+        new_w = np.cbrt(w * (kdist[u] * kdist[v]))
+    big = np.isinf(new_w)
+    if big.any():
+        c = np.cbrt(kdist)
+        new_w[big] = np.cbrt(w[big]) * (c[u[big]] * c[v[big]])
+    return SpanningTree(tree.n, u, v, new_w, "adjusted")
 
 
 def minmax_from_center(tree: SpanningTree, center: int) -> MinmaxVector:

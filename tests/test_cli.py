@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pava
 from pava import mstgraph, neighbors
 from pava.cli import _write_edges, main
 from pava.dataset import (
@@ -129,6 +135,20 @@ class TestCluster:
             main(head + ["--mst", "turbo"])
         assert exc.value.code == 2
         assert "turbo" in capsys.readouterr().err
+
+    def test_matrix_of_huge_entries_exit_0(self, tmp_path):
+        # w * kd_u * kd_v passes the largest double here; the adjusted
+        # weights must stay finite without a numpy overflow warning.
+        path = tmp_path / "huge.csv"
+        path.write_text("0,1e300,2e300\n1e300,0,1.5e300\n2e300,1.5e300,0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["cluster", "--matrix", str(path),
+                         "--labels-out", str(tmp_path / "p.csv"),
+                         "--report-out", str(tmp_path / "r.json"),
+                         "--emit-mst", str(tmp_path / "t")]) == 0
+        adjusted = np.loadtxt(tmp_path / "t.mst_adjusted.csv", delimiter=",", skiprows=1)
+        assert np.all(np.isfinite(adjusted[:, 2]))
 
     def test_k_too_large_exit_2(self, moons_files, capsys):
         pf, _ = moons_files
@@ -360,3 +380,22 @@ class TestDeterminism:
         main(["generate", "--shape", "spiral", "--n", "90", "--seed", "4", "--out", str(a)])
         main(["generate", "--shape", "spiral", "--n", "90", "--seed", "4", "--out", str(b)])
         assert (tmp_path / "a.points.csv").read_bytes() == (tmp_path / "b.points.csv").read_bytes()
+
+
+class TestModuleEntry:
+    """``python -m pava.cli`` runs the same front end as the ``pava`` script."""
+
+    def _run(self, *args, cwd):
+        env = dict(os.environ, PYTHONPATH=str(Path(pava.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-m", "pava.cli", *args], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_version(self, tmp_path):
+        done = self._run("--version", cwd=tmp_path)
+        assert done.returncode == 0
+        assert done.stdout.strip() == f"pava {pava.__version__}" == "pava 0.1.0"
+
+    def test_missing_input_exit_2(self, tmp_path):
+        done = self._run("cluster", "nope.csv", cwd=tmp_path)
+        assert done.returncode == 2
+        assert "error:" in done.stderr

@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 
 import pava.engine as engine_mod
 import pava.neighbors as neighbors_mod
-from pava.dataset import DissimilarityMatrix, PointSet, generate_synthetic
+from pava.dataset import SHAPES, DissimilarityMatrix, PointSet, generate_synthetic
 from pava.engine import ClusterModel, PavaConfig, extract_cluster, run, select_center
 from pava.metrics import adjusted_rand_index
 from pava.mstgraph import SpanningTree, adjust_weights, build_mst, forest_k_graph
@@ -347,6 +347,26 @@ class TestRun:
             b = run(DissimilarityMatrix(euclidean_matrix(coords)))
         assert np.array_equal(a.labels, b.labels)
         assert [r.radius for r in a.rounds] == [r.radius for r in b.rounds]
+
+    @given(st.sampled_from(SHAPES), st.integers(min_value=120, max_value=300),
+           st.integers(min_value=0, max_value=2**16), st.integers(min_value=0, max_value=2**16))
+    @settings(max_examples=20, deadline=None)
+    @example("twomoons", 200, 1, 1)  # (w * kd_u) * kd_v gives a radius 1 ulp apart
+    def test_permuted_input_permutes_the_labels(self, shape, n, seed, perm_seed):
+        # Continuous noise leaves no equal distances or k-distances, so a
+        # permutation changes only the ids: the labels follow it and every
+        # radius keeps its bits.
+        points, _ = generate_synthetic(shape, n, seed)
+        perm = np.random.default_rng(perm_seed).permutation(n)
+        matrix = euclidean_matrix(points.coords)
+        pairs = [(points, PointSet(points.coords[perm])),
+                 (DissimilarityMatrix(matrix), DissimilarityMatrix(matrix[np.ix_(perm, perm)]))]
+        for src, moved in pairs:
+            with _time_bound():
+                a, b = run(src), run(moved)
+            assert np.array_equal(b.labels, a.labels[perm])
+            radii = [np.array([r.radius for r in m.rounds]).tobytes() for m in (a, b)]
+            assert radii[0] == radii[1]
 
 
 class TestPavaConfig:

@@ -232,7 +232,8 @@ class TestBuildMst:
 
     def test_exact_edges_match_canonical_mst(self):
         rng = np.random.default_rng(31)
-        # d = 8 and 10 sum each row pairwise, d < 8 left to right.
+        # 1-D points take the sorted chain, the others the certified forest,
+        # and the matrices the dense Prim.
         coords = [rng.normal(size=(n, d)) for d in (1, 2, 3, 7, 8, 10) for n in (2, 3, 60)]
         tie_free = [PointSet(c) for c in coords]
         tie_free += [DissimilarityMatrix(euclidean_matrix(c)) for c in coords[:6]]
@@ -392,6 +393,27 @@ class TestBuildMst:
         _assert_edges(tree, canonical_mst(src))
 
 
+@st.composite
+def _small_int_matrices(draw):
+    """Symmetric matrices of 2 to 25 objects with entries 0 to 3: many equal
+    weights, zero off the diagonal, and triangle inequalities broken."""
+    n = draw(st.integers(min_value=2, max_value=25))
+    upper = draw(st.lists(st.integers(0, 3), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    m = np.zeros((n, n))
+    m[np.triu_indices(n, 1)] = upper
+    return DissimilarityMatrix(m + m.T)
+
+
+class TestDensePrim:
+    @given(_small_int_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_tied_matrices_give_the_canonical_tree(self, m):
+        with _time_bound():
+            tree = build_mst(m)
+        _assert_edges(tree, canonical_mst(m))
+
+
 class TestExactTreeInLowDimensions:
     """The exact tree of 1-D point sets is the sorted chain of their sites,
     and that of 2-D point sets comes from the certified kNN forest; either
@@ -482,6 +504,27 @@ class TestAdjustWeights:
         adj = adjust_weights(tree, DensityProfile(kdist, 3))
         for (u, v, w0), w1 in zip(tree.edges(), adj.edge_w):
             assert w1 == pytest.approx((w0 * kdist[u] * kdist[v]) ** (1.0 / 3.0), rel=1e-12)
+
+    def test_flipped_rows_give_the_same_bits(self):
+        # A product taken in row order, (w * kd_u) * kd_v, rounds 2 of these
+        # 39 edges differently once their rows are flipped.
+        rng = np.random.default_rng(13)
+        n = 40
+        parents = [int(rng.integers(0, v)) for v in range(1, n)]
+        weights = rng.uniform(0.1, 5.0, n - 1)
+        kdist = DensityProfile(rng.uniform(0.01, 2.0, n), 3)
+        tree = adjust_weights(SpanningTree(n, parents, np.arange(1, n), weights), kdist)
+        flipped = adjust_weights(SpanningTree(n, np.arange(1, n), parents, weights), kdist)
+        assert tree.edge_w.tobytes() == flipped.edge_w.tobytes()
+
+    def test_overflowing_product_stays_finite(self):
+        tree = SpanningTree(3, [0, 1], [1, 2], [1e300, 1.5e300])
+        kdist = DensityProfile(np.array([2e300, 1.5e300, 2e300]), 2)
+        with np.errstate(all="raise"):
+            adj = adjust_weights(tree, kdist)
+        want = [np.cbrt(1e300) * np.cbrt(2e300) * np.cbrt(1.5e300),
+                np.cbrt(1.5e300) * np.cbrt(1.5e300) * np.cbrt(2e300)]
+        assert adj.edge_w == pytest.approx(want, rel=1e-12)
 
     def test_preserves_edge_set(self):
         tree = build_mst(_points_1d([0, 1, 3, 7]))
