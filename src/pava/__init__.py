@@ -15,7 +15,6 @@ from .dataset import (
     generate_synthetic,
     load_matrix_csv,
     load_points_csv,
-    pairwise_distance,
 )
 from .engine import ClusterModel, ClusterRound, PavaConfig, extract_cluster, run, select_center
 from .metrics import ContingencyTable, adjusted_rand_index, pairwise_f_score, rand_index
@@ -64,7 +63,6 @@ __all__ = [
     "load_matrix_csv",
     "load_points_csv",
     "minmax_from_center",
-    "pairwise_distance",
     "pairwise_f_score",
     "propagate_labels",
     "rand_index",

@@ -203,7 +203,7 @@ def _report_dict(source_path: Path, matrix: bool, src, cfg: PavaConfig,
 
 
 def _emit_artifacts(args, src, cfg: PavaConfig, model: ClusterModel) -> None:
-    if args.emit_kdist:  # recomputed, like the trees below: see ROADMAP item 5
+    if args.emit_kdist:  # recomputed, like the trees below: see ROADMAP items 1 and 3
         write_csv(args.emit_kdist, [k_distance_all(src, model.density.k).kdist], ["%.17g"])
     if args.emit_mst:
         from .mstgraph import adjust_weights, build_mst, forest_k_graph

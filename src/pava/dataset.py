@@ -113,13 +113,10 @@ class LabeledPartition:
     @classmethod
     def from_raw(cls, raw) -> "LabeledPartition":
         """Remap arbitrary label tokens to 1..m in order of first appearance."""
-        seen: dict = {}
-        out = np.empty(len(raw), dtype=np.int64)
-        for i, token in enumerate(raw):
-            if token not in seen:
-                seen[token] = len(seen) + 1
-            out[i] = seen[token]
-        return cls(out, len(seen))
+        _, first, inverse = np.unique(np.asarray(raw), return_index=True, return_inverse=True)
+        number = np.empty(len(first), dtype=np.int64)
+        number[np.argsort(first)] = np.arange(1, len(first) + 1)
+        return cls(number[inverse.ravel()], len(first))
 
 
 def _parse_numeric(token: str, row: int, col: int) -> float:
@@ -163,19 +160,42 @@ def _load_table(path):
     cells, ``1_0``, non-ASCII digits).
     """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            first = next((row for row in reader if row), [])
-            header = not any(_is_numeric(tok.strip()) for tok in first)
-            skip = reader.line_num if header else 0
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-            table = np.loadtxt(path, delimiter=",", comments=None, skiprows=skip, ndmin=2)
+        table = _loadtxt(path, ndmin=2)
     except (ValueError, csv.Error):
         return None
     if table.size == 0 or not np.isfinite(table).all():
         return None
     return table
+
+
+def _load_last_column(path):
+    """The last cell of each data row, under ``_read_rows``' header rule, as
+    stripped strings read by numpy's C parser; None when the per-cell scan
+    must run instead: no data row, or a quote character, which ``csv`` reads
+    as quoting and numpy as text.
+    """
+    with open(path, newline="") as fh:
+        if '"' in fh.read():
+            return None
+    try:
+        # encoding=None decodes as open() does (numpy < 2 defaults to latin-1).
+        cells = _loadtxt(path, dtype=str, usecols=-1, ndmin=1, encoding=None)
+    except (ValueError, csv.Error):
+        return None
+    return np.char.strip(cells) if cells.size else None
+
+
+def _loadtxt(path, **kwargs):
+    """``np.loadtxt`` of a CSV's data rows: the first non-empty row is a
+    header, and skipped, when none of its cells is numeric."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = next((row for row in reader if row), [])
+        header = not any(_is_numeric(tok.strip()) for tok in first)
+        skip = reader.line_num if header else 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        return np.loadtxt(path, delimiter=",", comments=None, skiprows=skip, **kwargs)
 
 
 def _scan_points(path, has_label_column: bool):
@@ -254,14 +274,12 @@ def save_labels_csv(path, labels) -> None:
 
 
 def load_labels_csv(path) -> LabeledPartition:
-    rows = _read_rows(path)
-    return LabeledPartition.from_raw([row[-1] for row in rows])
-
-
-def pairwise_distance(p: PointSet, i: int, j: int) -> float:
-    """Euclidean distance between points i and j."""
-    diff = p.coords[i] - p.coords[j]
-    return float(np.sqrt((diff * diff).sum()))
+    """Labels from the last column of a CSV, numbered 1..m in order of first
+    appearance; each cell is a token compared as stripped text."""
+    tokens = _load_last_column(path)
+    if tokens is None:
+        tokens = [row[-1] for row in _read_rows(path)]
+    return LabeledPartition.from_raw(tokens)
 
 
 # --- synthetic shapes ------------------------------------------------------

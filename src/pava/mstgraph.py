@@ -4,11 +4,12 @@ The minmax (path) distance between two objects is the smallest possible
 bottleneck: the minimum over all connecting paths of the maximum edge weight
 along the path. On the minimum spanning tree of the complete dissimilarity
 graph (one exact builder per input kind: dense Prim for a matrix, the sorted
-chain for 1-D points, a certified kNN forest for other points), the unique
-tree path realizes that minimum. A tree's Kruskal dendrogram leaf order,
-read lazily, puts the minmax distance between the leaves at positions i < j
-at max(gap[i:j]) (Gower & Ross 1969), so a center's distances to every
-object take two prefix-maximum scans.
+chain for 1-D points, a certified kNN forest whose components are joined in
+Borůvka rounds for other points), the unique tree path realizes that
+minimum. A tree's Kruskal dendrogram leaf order, read lazily, puts the
+minmax distance between the leaves at positions i < j at max(gap[i:j])
+(Gower & Ross 1969), so a center's distances to every object take two
+prefix-maximum scans.
 
 Density adjustment rescales each tree edge to the cube root of
 weight * kdist(u) * kdist(v): edges touching sparse-region vertices (large
@@ -81,10 +82,6 @@ class SpanningTree:
     def total_weight(self) -> float:
         return float(self.edge_w.sum())
 
-    def edges(self):
-        """Edges as (u, v, weight) tuples."""
-        return list(zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()))
-
 
 @dataclass(frozen=True, eq=False)
 class MinmaxVector:
@@ -119,9 +116,9 @@ def build_mst(src, knn=None) -> SpanningTree:
     - A PointSet (``_kruskal_candidates``): equal points collapse into
       sites; 1-D sites take the sorted chain, and sites of 2 or more
       dimensions the tree of a kNN forest certified by the cut property,
-      stitched by Prim (``_certified_tree``). ``knn``, the (dists, idx)
-      lists that ``k_distance_all(src, k, forest_k_graph(N))`` returns,
-      saves that forest's neighbour query.
+      its components joined in Borůvka rounds (``_certified_tree``).
+      ``knn``, the (dists, idx) lists that ``k_distance_all(src, k,
+      forest_k_graph(N))`` returns, saves that forest's neighbour query.
     """
     if isinstance(src, PointSet):
         return _kruskal_candidates(src, knn)
@@ -175,9 +172,9 @@ def _certified_tree(x, names, knn):
     lighter than that bound at each member whose own lightest crossing
     candidate is not. ``_knn_forest`` takes certified picks in Borůvka rounds
     (March, Ram & Gray 2010 certify the same way over a dual tree), and
-    ``_stitch`` joins the forest's components by Prim. On line-like sites a
-    component soon lists only its own members, so the stitch does most of
-    the joins there.
+    ``_join_components`` joins the forest's components. On line-like sites a
+    component soon lists only its own members, so the join does most of the
+    work there.
 
     ``knn`` are ``nearest_lists``' (dists, idx) over every row of ``x``; they
     serve only when ``names`` holds every row. Otherwise, or without them,
@@ -202,10 +199,11 @@ def _certified_tree(x, names, knn):
     w = _distances(sites, u, v)
     by_key = np.argsort(w, kind="stable")  # (w, u, v) order
     u, v, w = u[by_key], v[by_key], w[by_key]
-    picked, comp = _knn_forest(s, u, v, w, dists[:, -1] * (1 - _SLACK))
+    bound = dists[:, -1] * (1 - _SLACK)
+    picked, comp = _knn_forest(s, u, v, w, bound)
     a, b = u[picked], v[picked]
     if len(picked) < s - 1:
-        more_a, more_b = _stitch(sites, comp)
+        more_a, more_b = _join_components(sites, comp, u, v, w, bound)
         a, b = np.concatenate([a, more_a]), np.concatenate([b, more_b])
     return names[a], names[b]
 
@@ -335,78 +333,197 @@ def _knn_forest(n: int, cand_u, cand_v, cand_w=None, bound=None):
     return np.flatnonzero(picked), comp
 
 
-def _stitch(x, comp):
-    """Prim over the forest's components (vertex labels ``comp``) from vertex
-    0's; returns its edges' ends (u, v), u < v, in the order they join.
+def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
+    """Edges that join the forest's components (vertex labels ``comp``) into
+    the canonical tree, as their ends (u, v), u < v, in (w, u, v) order.
 
-    Each outside component keeps its best edge into the tree under the order
-    (w, min, max), w by ``_distances``, and the component with the least
-    joins next. When a component joins, one kd-tree over its points serves
-    only the outside components whose bounding box lies within their best
-    weight of its box. Of those, each first queries its point nearest the
-    box; that distance bounds the component's least, so only its points no
-    farther from the box than the bound (and than the best weight) are
-    queried next. Each queried point about as near as its component's least
-    then gets every tree point that near, and their keys decide. Any point
-    farther can neither lower nor tie the best key.
+    ``cand_u``, ``cand_v`` and ``cand_w`` are candidate edges in (w, u, v)
+    order, and vertex a's candidates hold its every edge lighter than
+    ``bound[a]``. Only the lightest edge between two components can join
+    them. Borůvka rounds over those pair edges merge blocks of components,
+    each block named by its first component:
+
+    - A block's lightest known outgoing edge bounds its lightest one. A
+      block that knows none first probes a pair with a near component
+      outside it.
+    - A component whose reach, the weight up to which its pair edges to
+      other blocks are all known, is below that bound takes every component
+      whose box lies within the bound. One ball query of a kd-tree over the
+      boxes' centres finds them all.
+    - Each such pair probes the vertex of its smaller component nearest the
+      other's box, which may lower the bound. It then queries its vertices
+      within the bound of that box whose candidates do not hold every edge
+      that light. Those about as near as the pair's least get every vertex
+      that near, and their keys decide.
+    - ``_knn_forest`` merges the blocks over the known edges, each block
+      certified below the least reach of its components. Every block's
+      lightest outgoing edge is then certified, so the blocks at least halve
+      each round.
+
+    Each step sends all its query rows to one kd-tree over every vertex in
+    one call. Its slab coordinate, the component's index times more than
+    twice the vertices' diameter, keeps a row with component T's slab on T's
+    vertices.
     """
     members = np.argsort(comp, kind="stable")  # grouped by component, ids ascending
     first = np.flatnonzero(np.append(True, comp[members][1:] != comp[members][:-1]))
     sizes = np.diff(np.append(first, len(members)))
+    count = len(first)
     which = np.empty(len(members), dtype=np.int64)
-    which[members] = np.repeat(np.arange(len(first)), sizes)
+    which[members] = np.repeat(np.arange(count), sizes)
     grouped = x[members]
     lo, hi = np.minimum.reduceat(grouped, first), np.maximum.reduceat(grouped, first)
-    best = np.full(len(first), np.inf)
-    best_u, best_v = np.zeros((2, len(first)), dtype=np.int64)
-    outside = np.ones(len(first), dtype=bool)
-    edge_u, edge_v = np.empty((2, len(first) - 1), dtype=np.int64)
-    joined = int(which[0])
+    # The kd-trees take coordinates divided by 2**scale, the least power of two
+    # above the vertices' widest extent but not below 1. Every distance there
+    # is below sqrt(dim), so the squares of the slab coordinates stay finite,
+    # and distances too small to square round as in ``_distances``.
+    scale = max(np.frexp((hi.max(axis=0) - lo.min(axis=0)).max())[1], 0)
+    spacing = 2 * np.sqrt(x.shape[1]) + 1
+    sites = cKDTree(np.column_stack([np.ldexp(x, -scale), which * spacing]))
+
+    def slab(a, t):
+        """Query rows of vertices a on the slabs of components t."""
+        return np.column_stack([np.ldexp(x[a], -scale), t * spacing])
+
+    def nearest(a, t):
+        """(distance, id) of the vertex of component t[i] nearest vertex a[i]."""
+        d, b = sites.query(slab(a, t))
+        return np.ldexp(d, scale), b
+
+    def facing(s, t):
+        """The vertices of each component s[i], one segment per pair, each
+        with its distance to the box of t[i], and each segment's first vertex
+        nearest that box: (ids, owner, seg, box, probe)."""
+        lengths = sizes[s]
+        seg = np.cumsum(lengths) - lengths
+        owner = np.repeat(np.arange(len(s)), lengths)
+        ids = members[np.arange(lengths.sum()) + (first[s] - seg)[owner]]
+        xq = x[ids]
+        gap = np.clip(xq, lo[t][owner], hi[t][owner]) - xq
+        box = np.sqrt((gap * gap).sum(axis=1))
+        hits = np.flatnonzero(box == np.minimum.reduceat(box, seg)[owner])
+        return ids, owner, seg, box, hits[np.searchsorted(hits, seg)]
+
+    # Box T lies within gap r of box S only if their centres lie within
+    # half[S] + half[T] + r, half being half the box's diagonal.
+    centre, half = (lo + hi) / 2, np.sqrt(((hi - lo) ** 2).sum(axis=1)) / 2
+    scaled = np.ldexp(centre, -scale)
+    boxes = cKDTree(scaled)
+    # Each component's 16 nearest other components by their centres.
+    near = boxes.query(scaled, k=min(count, 17))[1]
+    cross = which[cand_u] != which[cand_v]
+    eu, ev, ew = cand_u[cross], cand_v[cross], cand_w[cross]
+    group = np.arange(count)  # each component's block, named by its first component
+    reach = np.full(count, -np.inf)
     slack = 1 + _SLACK
-    for i in range(len(first) - 1):
-        outside[joined] = False
-        part = members[first[joined]:first[joined] + sizes[joined]]
-        tree = cKDTree(x[part])
-        rest = np.flatnonzero(outside)
-        gap = np.maximum(np.maximum(lo[rest] - hi[joined], lo[joined] - hi[rest]), 0)
-        rest = rest[(gap * gap).sum(axis=1) <= (best[rest] * slack) ** 2]
-        if rest.size:
-            # The points of those components, one segment per component.
-            lengths = sizes[rest]
-            seg = np.cumsum(lengths) - lengths
-            owner = np.repeat(np.arange(len(rest)), lengths)
-            ids = members[np.arange(lengths.sum()) + (first[rest] - seg)[owner]]
-            xq = x[ids]
-            gap = np.clip(xq, lo[joined], hi[joined]) - xq
-            box = (gap * gap).sum(axis=1)
-            d = np.full(len(ids), np.inf)
-            # Each component's first point nearest the box.
-            hits = np.flatnonzero(box == np.minimum.reduceat(box, seg)[owner])
-            probe = hits[np.searchsorted(hits, seg)]
-            d[probe] = tree.query(xq[probe], k=1)[0]
-            bound = np.minimum(best[rest], d[probe]) * slack
-            more = box <= (bound * bound)[owner]
-            more[probe] = False
-            d[more] = tree.query(xq[more], k=1)[0]
-            reach = np.minimum(np.minimum.reduceat(d, seg), best[rest]) * slack
-            near = np.flatnonzero(d <= reach[owner])
-            hits = tree.query_ball_point(xq[near], reach[owner[near]])
-            count = np.fromiter(map(len, hits), np.int64, len(hits))
-            a = np.repeat(ids[near], count)
-            b = part[np.fromiter(itertools.chain.from_iterable(hits), np.int64, count.sum())]
-            # Each component's least key among those pairs and its best so far.
-            c = np.concatenate([rest[owner[np.repeat(near, count)]], rest])
-            w = np.concatenate([_distances(x, a, b), best[rest]])
-            u = np.concatenate([np.minimum(a, b), best_u[rest]])
-            v = np.concatenate([np.maximum(a, b), best_v[rest]])
-            by_key = np.lexsort((v, u, w, c))
-            top = by_key[np.append(True, c[by_key][1:] != c[by_key][:-1])]
-            best[c[top]], best_u[c[top]], best_v[c[top]] = w[top], u[top], v[top]
-        rest = np.flatnonzero(outside)
-        tied = rest[best[rest] == best[rest].min()]
-        joined = int(tied[np.lexsort((best_v[tied], best_u[tied]))[0]])
-        edge_u[i], edge_v[i] = best_u[joined], best_v[joined]
-    return edge_u, edge_v
+    out_u, out_v, out_w = [], [], []
+    while True:
+        keep = group[which[eu]] != group[which[ev]]
+        eu, ev, ew = eu[keep], ev[keep], ew[keep]
+        names = np.unique(group)
+        if len(names) == 1:
+            break
+        # Each block's lightest known outgoing edge, at the block's name.
+        light = np.full(count, np.inf)
+        np.minimum.at(light, group[which[eu]], ew)
+        np.minimum.at(light, group[which[ev]], ew)
+        new_a, new_b, new_w = [], [], []
+        lost = np.flatnonzero(np.isinf(light[group]))
+        if lost.size:
+            # A block without one probes a pair with the first outside component
+            # among its components' nearest ones, or if there is none, with the
+            # component whose box is nearest its first component's.
+            outside = group[near[lost]] != group[lost, None]
+            pick = outside.argmax(axis=1)
+            found = outside[np.arange(len(lost)), pick]
+            s, t = lost[found], near[lost[found], pick[found]]
+            blind = np.setdiff1d(group[lost], group[s])
+            if blind.size:
+                gap = np.maximum(lo[None] - hi[blind, None], lo[blind, None] - hi[None])
+                gap = (gap.clip(0) ** 2).sum(axis=2)
+                gap[group[None] == blind[:, None]] = np.inf
+                s, t = np.append(s, blind), np.append(t, gap.argmin(axis=1))
+            ids, owner, seg, box, probe = facing(s, t)
+            a = ids[probe]
+            b = nearest(a, t)[1]
+            w = _distances(x, a, b)
+            new_a.append(a)
+            new_b.append(b)
+            new_w.append(w)
+            np.minimum.at(light, group[s], w)
+        # Each component whose reach is below its block's bound takes the
+        # components whose box lies within that bound (its level). With
+        # span = half + level, a pair's centres lie within span +
+        # min(span, largest half) of one end: the one with the larger level,
+        # or one whose half exceeds the other's span.
+        needs = reach < light[group] * slack
+        level = np.where(needs, light[group] * slack, 0)
+        span = half + level
+        rows = np.flatnonzero(needs | (half > span[needs].min(initial=np.inf)))
+        r = (span + np.minimum(span, half.max()))[rows] * slack + _SLACK * np.abs(centre).max()
+        hits = boxes.query_ball_point(scaled[rows], np.ldexp(r, -scale))
+        lengths = np.fromiter(map(len, hits), np.int64, len(hits))
+        s = np.repeat(rows, lengths)
+        t = np.fromiter(itertools.chain.from_iterable(hits), np.int64, lengths.sum())
+        gap = np.maximum(np.maximum(lo[t] - hi[s], lo[s] - hi[t]), 0)
+        gap = np.sqrt((gap * gap).sum(axis=1))
+        apart = (group[s] != group[t]) & (gap <= np.maximum(level[s], level[t]) * slack)
+        s, t = s[apart], t[apart]
+        # Each pair once, queried from its smaller component.
+        small = (sizes[s] < sizes[t]) | ((sizes[s] == sizes[t]) & (s < t))
+        s, t = np.divmod(np.unique(np.where(small, s, t) * count + np.where(small, t, s)), count)
+        # Each pair's probe is a known edge that may lower both blocks' bounds.
+        ids, owner, seg, box, probe = facing(s, t)
+        d = np.full(len(ids), np.inf)
+        a = ids[probe]
+        d[probe], b = nearest(a, t)
+        w = _distances(x, a, b)
+        new_a.append(a)
+        new_b.append(b)
+        new_w.append(w)
+        np.minimum.at(light, group[s], w)
+        np.minimum.at(light, group[t], w)
+        # Then each pair queries its vertices within its bound of the other
+        # box, unless their candidates hold every edge that light, and those
+        # about as near as the pair's least get every vertex that near.
+        level = np.where(needs, light[group] * slack, 0)
+        need = np.maximum(level[s], level[t])
+        lim = (np.minimum(need, d[probe]) * slack)[owner]
+        more = (box <= lim) & (bound[ids] <= lim)
+        more[probe] = False
+        d[more] = nearest(ids[more], t[owner[more]])[0]
+        least = np.minimum.reduceat(d, seg)
+        close = np.flatnonzero((least <= need * slack)[owner] & (d <= (least * slack)[owner]))
+        hits = sites.query_ball_point(slab(ids[close], t[owner[close]]),
+                                      np.ldexp(least * slack, -scale)[owner[close]])
+        lengths = np.fromiter(map(len, hits), np.int64, len(hits))
+        a = np.repeat(ids[close], lengths)
+        b = np.fromiter(itertools.chain.from_iterable(hits), np.int64, lengths.sum())
+        new_a.append(a)
+        new_b.append(b)
+        new_w.append(_distances(x, a, b))
+        reach = np.maximum(reach, level)
+        # The known edges, each once, in (w, u, v) order.
+        a, b = np.concatenate(new_a), np.concatenate(new_b)
+        u = np.concatenate([eu, np.minimum(a, b)])
+        v = np.concatenate([ev, np.maximum(a, b)])
+        w = np.concatenate([ew] + new_w)
+        by_key = np.lexsort((v, u, w))
+        u, v, w = u[by_key], v[by_key], w[by_key]
+        fresh = np.append(True, (u[1:] != u[:-1]) | (v[1:] != v[:-1]))
+        eu, ev, ew = u[fresh], v[fresh], w[fresh]
+        # Each block's known edges hold every outgoing one below its least reach.
+        blk = np.searchsorted(names, group)
+        limit = np.full(len(names), np.inf)
+        np.minimum.at(limit, blk, np.nextafter(reach, np.inf))
+        picked, merged = _knn_forest(len(names), blk[which[eu]], blk[which[ev]], ew, limit)
+        out_u.append(eu[picked])
+        out_v.append(ev[picked])
+        out_w.append(ew[picked])
+        group = names[merged[blk]]
+    u, v, w = np.concatenate(out_u), np.concatenate(out_v), np.concatenate(out_w)
+    by_key = np.lexsort((v, u, w))
+    return u[by_key], v[by_key]
 
 
 def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:

@@ -274,7 +274,8 @@ def claim_reference(tree, center: int, labeled, trim_percentile: float, bins: in
     which claims every unlabeled object. The valley pick is the library's."""
     from pava.valley import DistanceHistogram, first_valley_radius, smooth_profile
 
-    dist = minmax_by_tree_walk(tree.n, tree.edges(), center)
+    dist = minmax_by_tree_walk(
+        tree.n, zip(tree.edge_u.tolist(), tree.edge_v.tolist(), tree.edge_w.tolist()), center)
     retained = dist[dist <= np.percentile(dist, trim_percentile)]
     lo, hi = float(retained.min()), float(retained.max())
     if lo == hi or np.any(np.diff(np.linspace(lo, hi, bins + 1)) <= 0):

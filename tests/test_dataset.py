@@ -19,7 +19,6 @@ from pava.dataset import (
     load_labels_csv,
     load_matrix_csv,
     load_points_csv,
-    pairwise_distance,
     save_labels_csv,
     save_points_csv,
     write_csv,
@@ -286,6 +285,59 @@ class TestReaderParity:
             assert _points_scan(f).tobytes() == coords.tobytes()
 
 
+def _first_appearance(tokens):
+    """Tokens numbered 1..m in order of first appearance, by a dict."""
+    seen = {}
+    return np.array([seen.setdefault(token, len(seen) + 1) for token in tokens], dtype=np.int64)
+
+
+def _labels_fast(path):
+    return load_labels_csv(path).labels
+
+
+def _labels_scan(path):
+    return _first_appearance([row[-1] for row in dataset._read_rows(path)])
+
+
+# Label files whose last column the per-cell scan reads as text tokens.
+LABEL_CORPUS = {
+    "plain": "1\n2\n1\n",
+    "header": "label\n2\n1\n2\n",
+    "padded tokens": " a \n\tb\n a\t\n",
+    "quoted cells": '"a"\n"b,c"\nb\n',
+    "quoted cell over two lines": '1,"x\ny",a\n2,b\n',
+    "ragged rows": "1,a\nb\n2,3,a\n",
+    "leading zeros stay distinct": "1\n01\n1\n001\n",
+    "numbers written two ways": "1\n1.0\n1e0\n",
+    "trailing comma": "1,a,\n2,b,\n",
+    "whitespace-only line": "a\n   \nb\n",
+    "non-ASCII tokens": "\u00e9\n\u00fc\n\u00e9\n",
+}
+
+
+class TestLabelReaderParity:
+    """numpy's label reader and the per-cell scan give the same labels or
+    the same error."""
+
+    @pytest.mark.parametrize("text", [*LABEL_CORPUS.values(), *READER_CORPUS.values()],
+                             ids=[*LABEL_CORPUS, *(f"numbers: {name}" for name in READER_CORPUS)])
+    def test_corpus(self, tmp_path, text):
+        f = tmp_path / "labels.csv"
+        f.write_bytes(text.encode())
+        assert _outcome(_labels_fast, f) == _outcome(_labels_scan, f)
+
+    def test_unquoted_input_skips_the_scan(self, tmp_path, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("per-cell scan ran on an unquoted input")
+
+        monkeypatch.setattr(dataset, "_read_rows", no_scan)
+        for name in ("plain", "header", "padded tokens", "ragged rows",
+                     "leading zeros stay distinct", "trailing comma", "whitespace-only line"):
+            f = tmp_path / "labels.csv"
+            f.write_bytes(LABEL_CORPUS[name].encode())
+            load_labels_csv(f)
+
+
 def _special_values(rng, shape):
     """Random doubles salted with -0.0, the smallest subnormal and the largest double."""
     values = rng.normal(scale=rng.choice([1e-300, 1.0, 1e300], size=shape))
@@ -426,31 +478,19 @@ class TestRoundTrip:
         assert np.array_equal(load_labels_csv(lf).labels, labels.labels)
 
 
-class TestPairwiseDistance:
-    def test_three_four_five(self):
-        p = PointSet(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        assert pairwise_distance(p, 0, 1) == 5.0
-
-    def test_self_distance_zero(self):
-        p = PointSet(np.random.default_rng(0).normal(size=(6, 3)))
-        for i in range(p.n):
-            assert pairwise_distance(p, i, i) == 0.0
-
-    def test_matches_reference_formula(self):
-        rng = np.random.default_rng(11)
-        p = PointSet(rng.normal(size=(10, 4)))
-        ref = euclidean_matrix(p.coords)
-        for i in range(10):
-            for j in range(10):
-                got = pairwise_distance(p, i, j)
-                assert got == pytest.approx(ref[i, j], rel=1e-12, abs=1e-300)
-
-
 class TestLabeledPartition:
     def test_from_raw_first_appearance(self):
         part = LabeledPartition.from_raw(["b", "b", "a", "c", "a"])
         assert part.labels.tolist() == [1, 1, 2, 3, 2]
         assert part.m == 3
+
+    def test_from_raw_matches_a_dict(self):
+        rng = np.random.default_rng(71)
+        for tokens in (rng.integers(0, 30, 500).tolist(),
+                       [str(t) for t in rng.integers(0, 12, 200)] + ["01", "1", "", " "]):
+            part = LabeledPartition.from_raw(tokens)
+            assert np.array_equal(part.labels, _first_appearance(tokens))
+            assert part.m == len(set(tokens))
 
     def test_rejects_gap_in_labels(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import signal
 from contextlib import contextmanager
 from unittest import mock
@@ -155,6 +156,15 @@ def _tied_points_any_dim(draw):
     return np.vstack([coords, coords[copies]])
 
 
+def _join(coords, comp):
+    """``_join_components``' edges over the components ``comp`` of
+    ``coords``, given no candidate edges, as a list of (u, v)."""
+    none = np.zeros(0, dtype=np.int64)
+    u, v = mstgraph._join_components(np.array(coords, float), comp, none, none, np.zeros(0),
+                                     np.zeros(len(coords)))
+    return list(zip(u.tolist(), v.tolist()))
+
+
 def _assert_edges(tree, ref):
     for got, want in zip((tree.edge_u, tree.edge_v, tree.edge_w), ref):
         assert np.array_equal(got, want)
@@ -177,7 +187,7 @@ def _edge_matrix(tree):
 class TestBuildMst:
     def test_unique_mst_on_line(self):
         tree = build_mst(_points_1d([0, 1, 3]))
-        edges = {(min(u, v), max(u, v)): w for u, v, w in tree.edges()}
+        edges = dict(zip(zip(tree.edge_u.tolist(), tree.edge_v.tolist()), tree.edge_w.tolist()))
         assert edges == {(0, 1): 1.0, (1, 2): 2.0}
         assert tree.total_weight == 3.0
 
@@ -293,62 +303,62 @@ class TestBuildMst:
             _assert_edges(build_mst(src, (dists, idx)), canonical_mst(src))
 
     def test_stitch_tie_rule(self):
-        # Singleton components make the stitch a plain Prim from vertex 0.
-        # Among equal weights the edge with the smallest (min, max) joins.
+        # Singleton components make the join a Borůvka over every pair. Among
+        # equal weights the edge with the smallest (min, max) joins. The join
+        # returns its edges in (w, u, v) order, so they compare as a list.
         cases = [
-            # 1 and 2 are equally near 0: (0, 1) joins first.
+            # 1 and 2 are equally near 0: (0, 1) before (0, 2).
             ([[0, 0], [1, 0], [-1, 0]], [(0, 1), (0, 2)]),
             # 2 is sqrt(5) from both 3 and 1: (1, 2) beats (2, 3), though 3
-            # joined the tree first.
+            # is the nearer to 0.
             ([[0, 0], [1, 2], [3, 1], [1, 0]], [(0, 3), (1, 3), (1, 2)]),
-            # Once 3 joins, 1 is 2 from 3 and 2 is 2 from 0: (0, 2) beats
-            # (1, 3), though 1 is the smaller outside id.
+            # Once 3 joins 0, 1 is 2 from 3 and 2 is 2 from 0: (0, 2) and
+            # (1, 3) both join, in that order, though 1 is the smaller id.
             ([[0, 0], [3, 0], [0, 2], [1, 0]], [(0, 3), (0, 2), (1, 3)]),
         ]
         for coords, want in cases:
-            edges = mstgraph._stitch(np.array(coords, float), np.arange(len(coords)))
-            assert list(zip(*(e.tolist() for e in edges))) == want
+            assert _join(coords, np.arange(len(coords))) == want
 
     def test_stitch_tie_rule_across_components(self):
         cases = [
-            # Component {1, 2} is 2 from the tree at 2 (through 0); once 3
-            # joins, 1 is 2 from it too, and (0, 2) beats (1, 3).
+            # Component {1, 2} is 2 from {0, 3} through (0, 2) and through
+            # (1, 3); (0, 2) joins.
             ([[0, 0], [3, 0], [0, 2], [1, 0]], [0, 1, 1, 3], [(0, 3), (0, 2)]),
-            # Components {1, 3} and {2} are both 1 from 0: (0, 2) beats
-            # (0, 3), so {2} joins first.
+            # Components {1, 3} and {2} are both 1 from 0: (0, 2) before
+            # (0, 3).
             ([[0, 0], [3, 0], [0, 1], [1, 0]], [0, 1, 2, 1], [(0, 2), (0, 3)]),
-            # 2 and 3 are both sqrt(10) from the tree {0, 1}, though 2 lies
-            # farther from its bounding box; (0, 2) beats (0, 3) and (1, 3).
+            # 2 and 3 are both sqrt(10) from {0, 1}, though 2 lies farther
+            # from its bounding box; (0, 2) beats (0, 3) and (1, 3).
             ([[0, 0], [0, 2], [1, -3], [3, 1]], [0, 0, 2, 2], [(0, 2)]),
             # {1, 2} is 3 from {0, 3} through (0, 2) and through (1, 3); the
-            # smallest outside id, 1, does not decide.
+            # smallest id of a component, 1, does not decide.
             ([[0, 0], [10, 3], [0, 3], [10, 0]], [0, 1, 1, 0], [(0, 2)]),
         ]
         for coords, comp, want in cases:
-            edges = mstgraph._stitch(np.array(coords, float), np.array(comp))
-            assert list(zip(*(e.tolist() for e in edges))) == want
+            assert _join(coords, np.array(comp)) == want
 
-    def test_stitching_indexes_each_component_once(self, monkeypatch):
-        # One kd-tree per joined component (none for the last) indexes at most
-        # N points in all; one kd-tree over every outside vertex per stitch
-        # indexed about N * C / 2.
+    def test_stitching_indexes_each_point_once(self, monkeypatch):
+        # One kd-tree over the points, each on its component's slab, and
+        # one over the 27 components' box centres. A kd-tree per joined
+        # component indexed N points in all, and one over every outside
+        # point per join about N * C / 2.
         coords = _blob_grid(np.random.default_rng(41), 3)
-        sizes = []
+        shapes = []
 
         def counting_tree(data, *args, **kwargs):
-            sizes.append(len(data))
+            shapes.append(np.shape(data))
             return cKDTree(data, *args, **kwargs)
 
         monkeypatch.setattr(mstgraph, "cKDTree", counting_tree)
         build_mst(PointSet(coords))
-        assert len(sizes) == 26
-        assert sum(sizes) <= len(coords)
+        assert sorted(shapes) == [(27, 3), (len(coords), 4)]
 
     def test_stitch_queries_only_points_near_the_joined_component(self, monkeypatch):
-        # Each join queries, per near component, its point nearest the joined
-        # component's box, then only its points within that distance of the
-        # box: fewer than N points in all. Updating every outside point's key
-        # on each join queried 4570 points here (N = 1080).
+        # Each pair of components queries its point nearest the other's box,
+        # then only its points within the pair's bound of that box: fewer
+        # than N points in all. Updating every outside point's key on each
+        # join of a Prim over the components queried 4570 points here
+        # (N = 1080).
         coords = _blob_grid(np.random.default_rng(41), 3)
         queried = []
 
@@ -361,6 +371,39 @@ class TestBuildMst:
         tree = build_mst(PointSet(coords))
         _assert_edges(tree, canonical_mst(PointSet(coords)))
         assert sum(queried) <= len(coords)
+
+    def test_stitch_calls_grow_with_the_rounds_not_the_components(self, monkeypatch):
+        # Every Borůvka round at least halves the blocks of components and
+        # makes at most five kd-tree calls, after one query for each
+        # component's nearest ones. A Prim over the components made two or
+        # three calls per join: 546 for the 216 components here.
+        calls, rounds = [], []
+        knn_forest = mstgraph._knn_forest
+
+        class CountingTree(cKDTree):
+            def query(self, *args, **kwargs):
+                calls.append(1)
+                return super().query(*args, **kwargs)
+
+            def query_ball_point(self, *args, **kwargs):
+                calls.append(1)
+                return super().query_ball_point(*args, **kwargs)
+
+        def spy(n, *args):
+            rounds.append(n)
+            return knn_forest(n, *args)
+
+        monkeypatch.setattr(mstgraph, "cKDTree", CountingTree)
+        monkeypatch.setattr(mstgraph, "_knn_forest", spy)
+        for side in (2, 4, 6):
+            calls.clear()
+            rounds.clear()
+            build_mst(PointSet(_blob_grid(np.random.default_rng(41), side, per_blob=16)))
+            # The first call builds the forest; each later one is a round,
+            # and the first round starts from one block per component.
+            assert rounds[1] == side ** 3
+            assert len(rounds) - 1 <= math.ceil(math.log2(side ** 3))
+            assert len(calls) <= 1 + 5 * (len(rounds) - 1)
 
     def test_candidate_list_and_forest_match_references(self):
         rng = np.random.default_rng(43)
@@ -502,7 +545,7 @@ class TestAdjustWeights:
         tree = SpanningTree(n, parents, np.arange(1, n), weights)
         kdist = rng.uniform(0.01, 2.0, n)
         adj = adjust_weights(tree, DensityProfile(kdist, 3))
-        for (u, v, w0), w1 in zip(tree.edges(), adj.edge_w):
+        for u, v, w0, w1 in zip(tree.edge_u, tree.edge_v, tree.edge_w, adj.edge_w):
             assert w1 == pytest.approx((w0 * kdist[u] * kdist[v]) ** (1.0 / 3.0), rel=1e-12)
 
     def test_flipped_rows_give_the_same_bits(self):
@@ -538,7 +581,7 @@ class TestAdjustWeights:
         from pava.neighbors import k_distance_all
         tree = build_mst(p)
         adj = adjust_weights(tree, k_distance_all(p, 1))
-        distinct = [w for (u, v, _), w in zip(tree.edges(), adj.edge_w)
+        distinct = [w for u, v, w in zip(tree.edge_u, tree.edge_v, adj.edge_w)
                     if not np.array_equal(p.coords[u], p.coords[v])]
         assert all(w > 0 for w in distinct)
 
@@ -654,12 +697,13 @@ class TestPropagateLabels:
             weights = np.array([0.0, 1e-300, 1.0, 1e16])[rng.integers(0, 4, n - 1)]
             cases.append((SpanningTree(n, perm[parents], perm[1:], weights), random_labels(count), False))
         for tree, labels, scan in cases:
+            edges = list(zip(tree.edge_u.tolist(), tree.edge_v.tolist(), tree.edge_w.tolist()))
             got = propagate_labels(tree, labels)
-            assert np.array_equal(got, propagate_reference(tree.n, tree.edges(), labels))
+            assert np.array_equal(got, propagate_reference(tree.n, edges, labels))
             if not scan:
                 continue
             seeds = np.flatnonzero(labels)
-            lengths = np.array([tree_path_lengths(tree.n, tree.edges(), int(s)) for s in seeds])
+            lengths = np.array([tree_path_lengths(tree.n, edges, int(s)) for s in seeds])
             for v in range(tree.n):
                 if labels[v] > 0:
                     assert got[v] == labels[v]
@@ -706,7 +750,9 @@ class TestCertifiedForest:
 
         def spy(n, cand_u, cand_v, cand_w=None, bound=None):
             picked, comp = knn_forest(n, cand_u, cand_v, cand_w, bound)
-            if bound is not None:
+            # The first call certifies the forest over the sites; later ones
+            # join its components and name blocks of them, not sites.
+            if bound is not None and not forests:
                 forests.append((cand_u[picked], cand_v[picked]))
             return picked, comp
 
@@ -715,7 +761,7 @@ class TestCertifiedForest:
             tree = build_mst(points)
         ref = canonical_mst(points)
         _assert_edges(tree, ref)
-        # Each certified forest, over the sites named by their smallest ids,
+        # The certified forest, over the sites named by their smallest ids,
         # lies inside the canonical tree.
         names = np.sort(np.unique(coords, axis=0, return_index=True)[1])
         tree_edges = set(zip(ref[0].tolist(), ref[1].tolist()))
@@ -753,6 +799,70 @@ class TestCertifiedForest:
             build_mst(PointSet(near_line))
         want = minimum_spanning_tree(euclidean_matrix(near_line[:1500])).sum()
         assert build_mst(PointSet(near_line[:1500])).total_weight == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["tight blobs", "near-collinear", "uniform", "clumps",
+                                      "duplicates", 1e150, 1e-150, 1e-170])
+    def test_joined_components_give_the_canonical_tree(self, monkeypatch, kind):
+        # Each input leaves the forest several components to join: 25 tight
+        # blobs of 16 points; near-collinear 2-D sites; components whose
+        # boxes overlap, of uniform points or of clumps scattered uniformly;
+        # sites of five copies each; and a blob grid scaled by 1e150, 1e-150
+        # or 1e-170. The slab coordinates must stay finite, and at 1e-170,
+        # where squared distances underflow and many weigh 0, the rounds
+        # must still end.
+        rng = np.random.default_rng(61)
+        if kind == "tight blobs":
+            coords = np.repeat(rng.uniform(0, 100, (25, 3)), 16, axis=0)
+            coords += rng.normal(0, 0.05, coords.shape)
+        elif kind == "near-collinear":
+            coords = np.outer(rng.normal(size=500), [0.6, 0.8]) + rng.normal(0, 1e-6, (500, 2))
+        elif kind == "uniform":
+            coords = rng.uniform(size=(600, 2))
+        elif kind == "clumps":
+            coords = np.repeat(rng.uniform(size=(100, 2)), 6, axis=0) + rng.normal(0, 0.02, (600, 2))
+        elif kind == "duplicates":
+            sites = np.repeat(rng.uniform(0, 50, (12, 3)), 8, axis=0) + rng.normal(0, 0.3, (96, 3))
+            coords = np.repeat(sites, 5, axis=0)
+        else:
+            coords = _blob_grid(rng, 3, per_blob=16) * kind
+        joined = []
+        join = mstgraph._join_components
+
+        def spy(x, comp, *args):
+            joined.append(len(np.unique(comp)))
+            return join(x, comp, *args)
+
+        monkeypatch.setattr(mstgraph, "_join_components", spy)
+        points = PointSet(coords[rng.permutation(len(coords))])
+        with _time_bound():
+            tree = build_mst(points)
+        _assert_edges(tree, canonical_mst(points))
+        assert joined[0] >= 2
+
+    def test_tight_blobs_join_in_bounded_time(self):
+        # 2000 blobs of 16 points each list only their own blob, so the join
+        # merges 2000 components. About 0.2 s on a 2-CPU machine; a Prim over
+        # the components took 0.72-0.85 s.
+        rng = np.random.default_rng(67)
+        coords = np.repeat(rng.uniform(0, 400, (2000, 3)), 16, axis=0)
+        coords += rng.normal(0, 0.05, coords.shape)
+        with _time_bound(0.7):
+            tree = build_mst(PointSet(coords))
+        # Each blob is joined by one edge to another blob.
+        assert np.count_nonzero(tree.edge_w > 1) == 1999
+
+    def test_near_collinear_sites_join_in_bounded_time(self):
+        # On a line the forest's components outgrow their lists and stay
+        # apart: about 800 of them at N = 60000. About 0.37 s on a 2-CPU
+        # machine; a Prim over the components took 1.77-2.33 s.
+        rng = np.random.default_rng(67)
+        t = rng.normal(size=60000)
+        coords = np.outer(t, [0.6, 0.8]) + rng.normal(0, 1e-6, (60000, 2))
+        with _time_bound(1.5):
+            tree = build_mst(PointSet(coords))
+        # No heavier than the chain through the sites in the order of t.
+        chain = np.diff(coords[np.argsort(t)], axis=0)
+        assert tree.total_weight <= np.sqrt((chain * chain).sum(axis=1)).sum()
 
     def test_duplicate_heavy_points_collapse_into_sites(self):
         # 15 copies of each site: every copy lists only copies at distance
