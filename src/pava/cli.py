@@ -110,10 +110,7 @@ def _require_file(path_str: str) -> Path:
 
 
 def _load_source(path: Path, matrix: bool):
-    if matrix:
-        return load_matrix_csv(path)
-    points, _ = load_points_csv(path)
-    return points
+    return load_matrix_csv(path) if matrix else load_points_csv(path)
 
 
 def _make_config(args, n: int) -> PavaConfig:

@@ -156,8 +156,8 @@ def _load_table(path):
     read by numpy's C parser; None when the per-cell scan must run instead:
     a cell numpy cannot read, ragged rows, a non-finite value or no data row.
     What numpy reads, Python's ``float`` reads to the same bits, so the scan
-    only names the bad cell or reads what only ``float`` accepts (quoted
-    cells, ``1_0``, non-ASCII digits).
+    only names the bad cell or reads what only ``csv`` and ``float`` accept
+    (rows ended by a lone CR, ``1_0``, non-ASCII digits).
     """
     try:
         table = _loadtxt(path, ndmin=2)
@@ -170,13 +170,9 @@ def _load_table(path):
 
 def _load_last_column(path):
     """The last cell of each data row, under ``_read_rows``' header rule, as
-    stripped strings read by numpy's C parser; None when the per-cell scan
-    must run instead: no data row, or a quote character, which ``csv`` reads
-    as quoting and numpy as text.
+    stripped strings read by numpy's C parser; None when there is no data row
+    or numpy rejects the file.
     """
-    with open(path, newline="") as fh:
-        if '"' in fh.read():
-            return None
     try:
         # encoding=None decodes as open() does (numpy < 2 defaults to latin-1).
         cells = _loadtxt(path, dtype=str, usecols=-1, ndmin=1, encoding=None)
@@ -186,8 +182,9 @@ def _load_last_column(path):
 
 
 def _loadtxt(path, **kwargs):
-    """``np.loadtxt`` of a CSV's data rows: the first non-empty row is a
-    header, and skipped, when none of its cells is numeric."""
+    """``np.loadtxt`` of a CSV's data rows, quoted cells read as ``csv``
+    reads them: the first non-empty row is a header, and skipped, when none
+    of its cells is numeric."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         first = next((row for row in reader if row), [])
@@ -195,61 +192,41 @@ def _loadtxt(path, **kwargs):
         skip = reader.line_num if header else 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-        return np.loadtxt(path, delimiter=",", comments=None, skiprows=skip, **kwargs)
+        return np.loadtxt(path, delimiter=",", comments=None, quotechar='"',
+                          skiprows=skip, **kwargs)
 
 
-def _scan_points(path, has_label_column: bool):
-    """Per-cell reader of a points CSV: (coords, label tokens or None)."""
+def _scan_table(path, square=False):
+    """Per-cell reader of a table whose rows are all as wide as the first,
+    or with ``square`` as wide as the table is long."""
     rows = _read_rows(path)
-    width = len(rows[0])
+    width = len(rows) if square else len(rows[0])
     for r, row in enumerate(rows, start=1):
         if len(row) != width:
-            raise ValueError(f"row {r} has {len(row)} columns, expected {width}")
-    if has_label_column and width < 2:
-        raise ValueError("label column requested but rows have a single column")
-
-    ncoord = width - 1 if has_label_column else width
-    coords = np.empty((len(rows), ncoord), dtype=np.float64)
-    for r, row in enumerate(rows, start=1):
-        for c in range(ncoord):
-            coords[r - 1, c] = _parse_numeric(row[c], r, c + 1)
-    return coords, ([row[-1] for row in rows] if has_label_column else None)
-
-
-def _scan_matrix(path) -> np.ndarray:
-    """Per-cell reader of a square matrix CSV."""
-    rows = _read_rows(path)
-    n = len(rows)
-    for r, row in enumerate(rows, start=1):
-        if len(row) != n:
-            raise ValueError(f"matrix is not square: row {r} has {len(row)} columns, expected {n}")
-    values = np.empty((n, n), dtype=np.float64)
+            shape = "matrix is not square: " if square else ""
+            raise ValueError(f"{shape}row {r} has {len(row)} columns, expected {width}")
+    values = np.empty((len(rows), width), dtype=np.float64)
     for r, row in enumerate(rows, start=1):
         for c, token in enumerate(row, start=1):
             values[r - 1, c - 1] = _parse_numeric(token, r, c)
     return values
 
 
-def load_points_csv(path, has_label_column: bool = False):
-    """Load a points CSV, optionally consuming the last column as ground-truth labels.
-
-    Returns (PointSet, LabeledPartition or None). Row/column positions in error
-    messages are 1-based over data rows (header excluded).
-    """
-    if has_label_column:
-        coords, tokens = _scan_points(path, True)
-        return PointSet(coords), LabeledPartition.from_raw(tokens)
+def load_points_csv(path) -> PointSet:
+    """Load a points CSV, one point per data row. Row/column positions in
+    error messages are 1-based over data rows (header excluded)."""
     coords = _load_table(path)
-    if coords is None:
-        coords = _scan_points(path, False)[0]
-    return PointSet(coords), None
+    return PointSet(_scan_table(path) if coords is None else coords)
 
 
 def load_matrix_csv(path) -> DissimilarityMatrix:
     """Load a square dissimilarity matrix; small asymmetry is averaged away."""
     values = _load_table(path)
-    if values is None or values.shape[0] != values.shape[1]:
-        values = _scan_matrix(path)
+    if values is None:
+        values = _scan_table(path, square=True)
+    elif values.shape[0] != values.shape[1]:
+        n, width = values.shape
+        raise ValueError(f"matrix is not square: row 1 has {width} columns, expected {n}")
     return DissimilarityMatrix(values)
 
 

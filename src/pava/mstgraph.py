@@ -346,19 +346,17 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
     - A block's lightest known outgoing edge bounds its lightest one. A
       block that knows none first probes a pair with a near component
       outside it.
-    - A component whose reach, the weight up to which its pair edges to
-      other blocks are all known, is below that bound takes every component
-      whose box lies within the bound. One ball query of a kd-tree over the
-      boxes' centres finds them all.
+    - Every component takes every component whose box lies within its
+      block's bound. One ball query of a kd-tree over the boxes' centres
+      finds them all.
     - Each such pair probes the vertex of its smaller component nearest the
       other's box, which may lower the bound. It then queries its vertices
       within the bound of that box whose candidates do not hold every edge
       that light. Those about as near as the pair's least get every vertex
       that near, and their keys decide.
     - ``_knn_forest`` merges the blocks over the known edges, each block
-      certified below the least reach of its components. Every block's
-      lightest outgoing edge is then certified, so the blocks at least halve
-      each round.
+      certified up to its bound. Every block's lightest outgoing edge is
+      then certified, so the blocks at least halve each round.
 
     Each step sends all its query rows to one kd-tree over every vertex in
     one call. Its slab coordinate, the component's index times more than
@@ -414,7 +412,6 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
     cross = which[cand_u] != which[cand_v]
     eu, ev, ew = cand_u[cross], cand_v[cross], cand_w[cross]
     group = np.arange(count)  # each component's block, named by its first component
-    reach = np.full(count, -np.inf)
     slack = 1 + _SLACK
     out_u, out_v, out_w = [], [], []
     while True:
@@ -451,19 +448,16 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
             new_b.append(b)
             new_w.append(w)
             np.minimum.at(light, group[s], w)
-        # Each component whose reach is below its block's bound takes the
-        # components whose box lies within that bound (its level). With
-        # span = half + level, a pair's centres lie within span +
-        # min(span, largest half) of one end: the one with the larger level,
-        # or one whose half exceeds the other's span.
-        needs = reach < light[group] * slack
-        level = np.where(needs, light[group] * slack, 0)
+        # Each component takes the components whose box lies within its
+        # block's bound (its level). With span = half + level, a pair's
+        # centres lie within span + min(span, largest half) of one end: the
+        # one with the larger level, or one whose half exceeds the other's span.
+        level = light[group] * slack
         span = half + level
-        rows = np.flatnonzero(needs | (half > span[needs].min(initial=np.inf)))
-        r = (span + np.minimum(span, half.max()))[rows] * slack + _SLACK * np.abs(centre).max()
-        hits = boxes.query_ball_point(scaled[rows], np.ldexp(r, -scale))
-        lengths = np.fromiter(map(len, hits), np.int64, len(hits))
-        s = np.repeat(rows, lengths)
+        r = (span + np.minimum(span, half.max())) * slack + _SLACK * np.abs(centre).max()
+        hits = boxes.query_ball_point(scaled, np.ldexp(r, -scale))
+        lengths = np.fromiter(map(len, hits), np.int64, count)
+        s = np.repeat(np.arange(count), lengths)
         t = np.fromiter(itertools.chain.from_iterable(hits), np.int64, lengths.sum())
         gap = np.maximum(np.maximum(lo[t] - hi[s], lo[s] - hi[t]), 0)
         gap = np.sqrt((gap * gap).sum(axis=1))
@@ -486,7 +480,7 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
         # Then each pair queries its vertices within its bound of the other
         # box, unless their candidates hold every edge that light, and those
         # about as near as the pair's least get every vertex that near.
-        level = np.where(needs, light[group] * slack, 0)
+        level = light[group] * slack
         need = np.maximum(level[s], level[t])
         lim = (np.minimum(need, d[probe]) * slack)[owner]
         more = (box <= lim) & (bound[ids] <= lim)
@@ -502,7 +496,6 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
         new_a.append(a)
         new_b.append(b)
         new_w.append(_distances(x, a, b))
-        reach = np.maximum(reach, level)
         # The known edges, each once, in (w, u, v) order.
         a, b = np.concatenate(new_a), np.concatenate(new_b)
         u = np.concatenate([eu, np.minimum(a, b)])
@@ -512,11 +505,12 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
         u, v, w = u[by_key], v[by_key], w[by_key]
         fresh = np.append(True, (u[1:] != u[:-1]) | (v[1:] != v[:-1]))
         eu, ev, ew = u[fresh], v[fresh], w[fresh]
-        # Each block's known edges hold every outgoing one below its least reach.
+        # Each block's known edges hold every outgoing one up to its level.
         blk = np.searchsorted(names, group)
-        limit = np.full(len(names), np.inf)
-        np.minimum.at(limit, blk, np.nextafter(reach, np.inf))
+        limit = np.nextafter(level[names], np.inf)
         picked, merged = _knn_forest(len(names), blk[which[eu]], blk[which[ev]], ew, limit)
+        if not picked.size:  # every block's lightest outgoing edge weighs inf
+            raise ValueError("squared distances between the points overflow")
         out_u.append(eu[picked])
         out_v.append(ev[picked])
         out_w.append(ew[picked])

@@ -62,8 +62,12 @@ def nearest_lists(p: PointSet, count: int):
     an exact duplicate (also at distance 0) in column 0; the point's own id
     then moves there from its later column, or replaces the duplicate when it
     is not in the row at all.
+
+    Raises ValueError when a listed distance's square overflows.
     """
     dists, idx = build_index(p).query(p.coords, k=count, workers=query_workers())
+    if np.isinf(dists[:, -1]).any():
+        raise ValueError("squared distances between the points overflow")
     rows = np.flatnonzero(idx[:, 0] != np.arange(p.n))
     if rows.size:
         row_idx = idx[rows]

@@ -24,6 +24,7 @@ from pava.mstgraph import adjust_weights, build_mst
 from pava.neighbors import default_k, k_distance_all, nearest_lists
 
 from oracles import euclidean_matrix
+from test_mstgraph import _overflowing_blob_grid
 
 
 @pytest.fixture
@@ -163,6 +164,13 @@ class TestCluster:
         bad.write_text("1,2\n3,oops\n")
         assert main(["cluster", str(bad)]) == 1
 
+    def test_overflowing_squared_distances_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "far.csv"
+        save_points_csv(path, _overflowing_blob_grid())
+        assert main(["cluster", str(path), "--labels-out", str(tmp_path / "p.csv"),
+                     "--report-out", str(tmp_path / "r.json")]) == 1
+        assert "error: squared distances between the points overflow" in capsys.readouterr().err
+
     def test_near_collinear_five_points_exit_0(self, tmp_path):
         # Qhull left one of these sites out of the triangulation without
         # calling it coplanar, and the tree came up one edge short.
@@ -207,7 +215,7 @@ class TestCluster:
         assert len(hist1) == 201
 
         # Byte-identical to the same artifacts written from a direct library run.
-        points = load_points_csv(pf)[0]
+        points = load_points_csv(pf)
         model = run(points)
         ref = tmp_path / "ref"
         ref.mkdir()

@@ -97,16 +97,8 @@ class TestLoadPointsCsv:
     def test_plain_three_rows(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("0,0\n1,0\n0,1\n")
-        points, labels = load_points_csv(f)
+        points = load_points_csv(f)
         assert points.n == 3 and points.dim == 2
-        assert labels is None
-
-    def test_label_column_remapped_by_first_appearance(self, tmp_path):
-        f = tmp_path / "p.csv"
-        f.write_text("0,0,1\n1,0,1\n0,1,2\n")
-        points, labels = load_points_csv(f, has_label_column=True)
-        assert points.n == 3 and points.dim == 2
-        assert labels.labels.tolist() == [1, 1, 2]
 
     def test_parse_error_names_row_and_column(self, tmp_path):
         f = tmp_path / "p.csv"
@@ -117,7 +109,7 @@ class TestLoadPointsCsv:
     def test_header_skipped(self, tmp_path):
         f = tmp_path / "p.csv"
         f.write_text("x,y\n0,0\n1,1\n")
-        points, _ = load_points_csv(f)
+        points = load_points_csv(f)
         assert points.n == 2
 
     def test_ragged_rows_rejected(self, tmp_path):
@@ -186,11 +178,11 @@ def _outcome(load, path):
 
 
 def _points_fast(path):
-    return load_points_csv(path)[0].coords
+    return load_points_csv(path).coords
 
 
 def _points_scan(path):
-    return PointSet(dataset._scan_points(path, False)[0]).coords
+    return PointSet(dataset._scan_table(path)).coords
 
 
 def _matrix_fast(path):
@@ -198,7 +190,7 @@ def _matrix_fast(path):
 
 
 def _matrix_scan(path):
-    return DissimilarityMatrix(dataset._scan_matrix(path)).values
+    return DissimilarityMatrix(dataset._scan_table(path, square=True)).values
 
 
 # Each text is a 2 x 2 dissimilarity matrix, and so also two 2-D points,
@@ -207,6 +199,12 @@ READER_CORPUS = {
     "plain": "0,1\n1,0\n",
     "no final newline": "0,1.5e-3\n1.5e-3,0",
     "quoted cells": '"0",1\n"1","0"\n',
+    "text after a closing quote": '0,"1"2\n"1"2,0\n',
+    "doubled quote": '0,"2""3"\n"2""3",0\n',
+    "space before a quote": '0, "1"\n "1",0\n',
+    "space after a quote": '0,"1" \n"1" ,0\n',
+    "quoted newline": '0,"1\n"\n"\n1",0\n',
+    "empty quoted cell": '0,""\n"",0\n',
     "underscore digits": "0,1_0\n1_0,0\n",
     "full-width digit": "0,\uff11\n\uff11,0\n",
     "byte order mark": "\ufeff0,1\n1,0\n",
@@ -256,11 +254,12 @@ class TestReaderParity:
         def no_scan(*args):
             raise AssertionError("per-cell scan ran on a valid input")
 
-        monkeypatch.setattr(dataset, "_scan_points", no_scan)
-        monkeypatch.setattr(dataset, "_scan_matrix", no_scan)
+        monkeypatch.setattr(dataset, "_scan_table", no_scan)
         for name in ("plain", "crlf", "lone cr after a header", "padded cells",
                      "blank lines before a header", "quoted header over two lines",
-                     "first row 0;0 is a header", "negative zero and the smallest subnormal"):
+                     "first row 0;0 is a header", "negative zero and the smallest subnormal",
+                     "quoted cells", "text after a closing quote", "space after a quote",
+                     "quoted newline"):
             f = tmp_path / "in.csv"
             f.write_bytes(READER_CORPUS[name].encode())
             load_points_csv(f)
@@ -281,7 +280,7 @@ class TestReaderParity:
         with tempfile.TemporaryDirectory() as tmp:
             f = Path(tmp) / "in.csv"
             f.write_text(text)
-            assert load_points_csv(f)[0].coords.tobytes() == coords.tobytes()
+            assert load_points_csv(f).coords.tobytes() == coords.tobytes()
             assert _points_scan(f).tobytes() == coords.tobytes()
 
 
@@ -306,6 +305,12 @@ LABEL_CORPUS = {
     "padded tokens": " a \n\tb\n a\t\n",
     "quoted cells": '"a"\n"b,c"\nb\n',
     "quoted cell over two lines": '1,"x\ny",a\n2,b\n',
+    "text after a closing quote": '1\n"1"2\n12\n',
+    "doubled quote": '1\n"2""3"\n2"3\n',
+    "space before a quote": '1\n "1"\n"1"\n',
+    "space after a quote": '1\n"1" \n1\n',
+    "quoted newline": '1\n"a\nb",c\n"c\n"\n',
+    "empty quoted cell": '1\n""\na\n',
     "ragged rows": "1,a\nb\n2,3,a\n",
     "leading zeros stay distinct": "1\n01\n1\n001\n",
     "numbers written two ways": "1\n1.0\n1e0\n",
@@ -326,13 +331,16 @@ class TestLabelReaderParity:
         f.write_bytes(text.encode())
         assert _outcome(_labels_fast, f) == _outcome(_labels_scan, f)
 
-    def test_unquoted_input_skips_the_scan(self, tmp_path, monkeypatch):
+    def test_valid_input_skips_the_scan(self, tmp_path, monkeypatch):
         def no_scan(*args):
-            raise AssertionError("per-cell scan ran on an unquoted input")
+            raise AssertionError("per-cell scan ran on a valid input")
 
         monkeypatch.setattr(dataset, "_read_rows", no_scan)
         for name in ("plain", "header", "padded tokens", "ragged rows",
-                     "leading zeros stay distinct", "trailing comma", "whitespace-only line"):
+                     "leading zeros stay distinct", "trailing comma", "whitespace-only line",
+                     "quoted cells", "quoted cell over two lines", "text after a closing quote",
+                     "doubled quote", "space before a quote", "space after a quote",
+                     "quoted newline", "empty quoted cell"):
             f = tmp_path / "labels.csv"
             f.write_bytes(LABEL_CORPUS[name].encode())
             load_labels_csv(f)
@@ -473,7 +481,7 @@ class TestRoundTrip:
         lf = tmp_path / "s.labels.csv"
         save_points_csv(pf, points)
         save_labels_csv(lf, labels)
-        reloaded, _ = load_points_csv(pf)
+        reloaded = load_points_csv(pf)
         assert np.array_equal(reloaded.coords, points.coords)
         assert np.array_equal(load_labels_csv(lf).labels, labels.labels)
 

@@ -15,7 +15,7 @@ from pava.mstgraph import SpanningTree, adjust_weights, build_mst, forest_k_grap
 from pava.neighbors import default_k, k_distance_all
 
 from oracles import canonical_mst, claim_reference, euclidean_matrix
-from test_mstgraph import _degenerate_sources, _tied_points, _time_bound
+from test_mstgraph import _degenerate_sources, _overflowing_blob_grid, _tied_points, _time_bound
 
 
 def _queue(kdist):
@@ -259,6 +259,10 @@ class TestRun:
         points, _ = generate_synthetic("blobs", 30, seed=0)
         with pytest.raises(ValueError, match="k must be < N"):
             run(points, PavaConfig(k=30))
+
+    def test_overflowing_squared_distances_rejected(self):
+        with pytest.raises(ValueError, match="squared distances between the points overflow"):
+            run(_overflowing_blob_grid())
 
     def test_tiny_dataset_still_labels_everything(self):
         # below min_unlabeled: the do-while loop still runs one round

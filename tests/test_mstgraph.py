@@ -114,6 +114,16 @@ def _near_tied_points(draw):
     return (np.array(lattice, float) + np.array(moved)).tolist()
 
 
+def _overflowing_blob_grid():
+    """40 blobs of 8 points on a 2 x 4 x 5 grid, scaled so that squared
+    distances overflow between blobs but not within one. Each point's 11
+    nearest reach beyond its blob."""
+    rng = np.random.default_rng(5)
+    centers = np.stack(np.meshgrid(*[np.arange(g) * 8.0 for g in (2, 4, 5)]), -1).reshape(-1, 3)
+    coords = np.repeat(centers, 8, axis=0) + rng.normal(0, 0.5, (320, 3))
+    return PointSet(coords * 3e153)
+
+
 @contextmanager
 def _time_bound(seconds=5.0):
     """Fail the enclosed block with TimeoutError once it has run for
@@ -801,15 +811,18 @@ class TestCertifiedForest:
         assert build_mst(PointSet(near_line[:1500])).total_weight == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["tight blobs", "near-collinear", "uniform", "clumps",
-                                      "duplicates", 1e150, 1e-150, 1e-170])
+                                      "duplicates", "grouped blobs", 1e150, 1e-150, 1e-170])
     def test_joined_components_give_the_canonical_tree(self, monkeypatch, kind):
         # Each input leaves the forest several components to join: 25 tight
         # blobs of 16 points; near-collinear 2-D sites; components whose
         # boxes overlap, of uniform points or of clumps scattered uniformly;
-        # sites of five copies each; and a blob grid scaled by 1e150, 1e-150
-        # or 1e-170. The slab coordinates must stay finite, and at 1e-170,
-        # where squared distances underflow and many weigh 0, the rounds
-        # must still end.
+        # sites of five copies each; six far groups of 24 tight blobs; and a
+        # blob grid scaled by 1e150, 1e-150 or 1e-170. The slab coordinates
+        # must stay finite, and at 1e-170, where squared distances underflow
+        # and many weigh 0, the rounds must still end. The grouped blobs
+        # leave blocks whose 16 nearest centres all lie inside them, so two
+        # of their rounds take the box-gap probe (checked by counting its
+        # calls in a copy of the join).
         rng = np.random.default_rng(61)
         if kind == "tight blobs":
             coords = np.repeat(rng.uniform(0, 100, (25, 3)), 16, axis=0)
@@ -820,6 +833,12 @@ class TestCertifiedForest:
             coords = rng.uniform(size=(600, 2))
         elif kind == "clumps":
             coords = np.repeat(rng.uniform(size=(100, 2)), 6, axis=0) + rng.normal(0, 0.02, (600, 2))
+        elif kind == "grouped blobs":
+            blob_rng = np.random.default_rng(3)
+            groups = blob_rng.uniform(0, 10000, (6, 3))
+            centres = groups[:, None, :] + blob_rng.uniform(0, 60, (6, 24, 3))
+            coords = np.repeat(centres.reshape(-1, 3), 16, axis=0)
+            coords += blob_rng.normal(0, 0.05, coords.shape)
         elif kind == "duplicates":
             sites = np.repeat(rng.uniform(0, 50, (12, 3)), 8, axis=0) + rng.normal(0, 0.3, (96, 3))
             coords = np.repeat(sites, 5, axis=0)
@@ -838,6 +857,18 @@ class TestCertifiedForest:
             tree = build_mst(points)
         _assert_edges(tree, canonical_mst(points))
         assert joined[0] >= 2
+
+    def test_overflowing_squared_distances_raise(self):
+        # Squared distances between blobs pass the largest double. Where the
+        # neighbour lists reach another blob, the kd-tree names no neighbour
+        # there; where they do not, every join edge weighs inf. Both must end
+        # in a clear error, not an IndexError or a loop without end.
+        rng = np.random.default_rng(7)
+        clouds = np.vstack([rng.normal(size=(100, 3)), rng.normal(size=(100, 3)) + [1e155, 0, 0]])
+        for points in (_overflowing_blob_grid(), PointSet(clouds)):
+            with _time_bound(), np.errstate(over="ignore"):
+                with pytest.raises(ValueError, match="squared distances between the points overflow"):
+                    build_mst(points)
 
     def test_tight_blobs_join_in_bounded_time(self):
         # 2000 blobs of 16 points each list only their own blob, so the join
