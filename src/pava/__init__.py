@@ -18,14 +18,7 @@ from .dataset import (
 )
 from .engine import ClusterModel, ClusterRound, PavaConfig, extract_cluster, run, select_center
 from .metrics import ContingencyTable, adjusted_rand_index, pairwise_f_score, rand_index
-from .mstgraph import (
-    MinmaxVector,
-    SpanningTree,
-    adjust_weights,
-    build_mst,
-    minmax_from_center,
-    propagate_labels,
-)
+from .mstgraph import SpanningTree, adjust_weights, build_mst, minmax_from_center, propagate_labels
 from .neighbors import DensityProfile, build_index, default_k, k_distance_all
 from .valley import (
     DegenerateHistogramError,
@@ -45,7 +38,6 @@ __all__ = [
     "DissimilarityMatrix",
     "DistanceHistogram",
     "LabeledPartition",
-    "MinmaxVector",
     "PavaConfig",
     "PointSet",
     "SpanningTree",

@@ -212,7 +212,10 @@ def _emit_artifacts(args, src, cfg: PavaConfig, model: ClusterModel) -> None:
         if cfg.use_adjusted:
             _write_edges(f"{args.emit_mst}.mst_adjusted.csv", adjust_weights(raw, density))
     if args.emit_histogram:
-        for i, (hist, rnd) in enumerate(zip(model.histograms, model.rounds), start=1):
+        for i, rnd in enumerate(model.rounds, start=1):
+            hist = rnd.histogram
+            if hist is None:  # a degenerate round reads no histogram
+                continue
             write_csv(
                 f"{args.emit_histogram}.round{i}.csv",
                 [hist.bin_centers, hist.raw_freq, hist.shifted_freq, hist.smoothed_freq,

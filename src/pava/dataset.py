@@ -93,15 +93,15 @@ class LabeledPartition:
     """Length-N label vector with values exactly 1..m, each occurring at least once."""
 
     labels: np.ndarray
-    m: int = field(default=0)
+    m: int = field(init=False)
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
         if labels.ndim != 1 or labels.size == 0:
             raise ValueError("labels must be a nonempty 1-D vector")
         distinct = np.unique(labels)
-        m = self.m if self.m else int(distinct.size)
-        if distinct[0] < 1 or distinct[-1] > m or distinct.size != m:
+        m = int(distinct.size)
+        if distinct[0] < 1 or distinct[-1] > m:
             raise ValueError(f"labels must cover 1..{m} exactly, got values {distinct}")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "m", m)
@@ -116,7 +116,7 @@ class LabeledPartition:
         _, first, inverse = np.unique(np.asarray(raw), return_index=True, return_inverse=True)
         number = np.empty(len(first), dtype=np.int64)
         number[np.argsort(first)] = np.arange(1, len(first) + 1)
-        return cls(number[inverse.ravel()], len(first))
+        return cls(number[inverse.ravel()])
 
 
 def _parse_numeric(token: str, row: int, col: int) -> float:

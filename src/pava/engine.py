@@ -76,12 +76,15 @@ class PavaConfig:
 
 @dataclass
 class ClusterRound:
-    """One extraction round: its center, radius, and the objects it claimed."""
+    """One extraction round: its center, radius, the objects it claimed, and
+    the smoothed histogram its radius was read off, None for a degenerate
+    round (all retained distances equal), which claimed everything left."""
 
     center: int
     radius: float
     claimed: np.ndarray
     duration: float
+    histogram: DistanceHistogram | None = field(repr=False)
 
     @property
     def claimed_count(self) -> int:
@@ -90,13 +93,13 @@ class ClusterRound:
 
 @dataclass
 class ClusterModel:
-    """A run's labels, rounds and timings, and the density, trees and histograms it used."""
+    """A run's labels, rounds (each with its histogram) and timings, and the
+    density and trees it used."""
 
     labels: np.ndarray
     m: int
     rounds: list[ClusterRound]
     timings: dict[str, float]
-    histograms: list[DistanceHistogram] = field(repr=False)
     density: DensityProfile = field(repr=False)
     raw_tree: SpanningTree = field(repr=False)
     tree: SpanningTree = field(repr=False)
@@ -128,18 +131,19 @@ def extract_cluster(tree: SpanningTree, center: int, cfg: PavaConfig, labeled: n
     """
     if labeled[center]:
         raise ValueError(f"center {center} is already labeled")
-    mm = minmax_from_center(tree, center)
-    retained = cap_percentile(mm.runs, cfg.trim_percentile)
+    position, left, right = minmax_from_center(tree, center)
+    runs = (np.zeros(1), left, right)
+    retained = cap_percentile(runs, cfg.trim_percentile)
     try:
         hist = smooth_profile(build_histogram(retained, cfg.bins), cfg.smooth_window)
     except DegenerateHistogramError:
-        radius = max(float(run[-1]) for run in mm.runs if run.size) * (1.0 + ENGULF_MARGIN)
+        radius = max(float(run[-1]) for run in runs if run.size) * (1.0 + ENGULF_MARGIN)
         return np.flatnonzero(~labeled), radius, None
     radius = first_valley_radius(hist)
     # Both runs ascend, so the objects inside the radius fill one interval of
     # positions around the center's.
-    first = mm.position - int(np.searchsorted(mm.left, radius))
-    last = mm.position + int(np.searchsorted(mm.right, radius))
+    first = position - int(np.searchsorted(left, radius))
+    last = position + int(np.searchsorted(right, radius))
     inside = tree.order[first:last + 1]
     return np.sort(inside[~labeled[inside]]), radius, hist
 
@@ -151,11 +155,7 @@ def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
     if not isinstance(src, (PointSet, DissimilarityMatrix)):
         raise TypeError(f"unsupported source type {type(src).__name__}")
     n = src.n
-    if n < 2:
-        raise ValueError("need at least 2 objects")
     k = cfg.k if cfg.k is not None else default_k(n)
-    if k >= n:
-        raise ValueError(f"k must be < N (k={k}, N={n})")
 
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -174,7 +174,6 @@ def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
     labeled_count = 0
     queue = np.argsort(density.kdist, kind="stable")[::-1].tolist()
     rounds: list[ClusterRound] = []
-    histograms: list[DistanceHistogram] = []
     target_labeled = (1.0 - cfg.stop_fraction) * n
     while True:
         round_start = time.perf_counter()
@@ -184,9 +183,7 @@ def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
         labels[claimed] = m
         labeled[claimed] = True
         labeled_count += claimed.size
-        rounds.append(ClusterRound(center, radius, claimed, time.perf_counter() - round_start))
-        if hist is not None:
-            histograms.append(hist)
+        rounds.append(ClusterRound(center, radius, claimed, time.perf_counter() - round_start, hist))
         if labeled_count >= target_labeled or n - labeled_count < cfg.min_unlabeled:
             break
     t3 = time.perf_counter()
@@ -202,7 +199,6 @@ def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
         m=len(rounds),
         rounds=rounds,
         timings=timings,
-        histograms=histograms,
         density=density,
         raw_tree=raw_tree,
         tree=tree,

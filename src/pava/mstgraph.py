@@ -83,28 +83,6 @@ class SpanningTree:
         return float(self.edge_w.sum())
 
 
-@dataclass(frozen=True, eq=False)
-class MinmaxVector:
-    """Minmax distances from a single source vertex, in its tree's dendrogram
-    position space.
-
-    The source sits at ``position``. ``left[i]`` is the distance to the vertex
-    at position ``position - 1 - i`` and ``right[j]`` the distance to the one at
-    ``position + 1 + j``; both runs ascend. The vertex at a position is the
-    tree's ``order`` there.
-    """
-
-    source: int
-    position: int
-    left: np.ndarray
-    right: np.ndarray
-
-    @property
-    def runs(self) -> tuple:
-        """Every distance as three ascending runs: the source's own 0, left, right."""
-        return (np.zeros(1), self.left, self.right)
-
-
 def build_mst(src, knn=None) -> SpanningTree:
     """Minimum spanning tree of the complete dissimilarity graph: the unique
     one under the edge order (w, min(u, v), max(u, v)), as rows u < v in that
@@ -335,7 +313,8 @@ def _knn_forest(n: int, cand_u, cand_v, cand_w=None, bound=None):
 
 def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
     """Edges that join the forest's components (vertex labels ``comp``) into
-    the canonical tree, as their ends (u, v), u < v, in (w, u, v) order.
+    the canonical tree, as their ends (u, v), u < v, in the order the rounds
+    pick them; ``_kruskal_candidates`` sorts the tree's rows.
 
     ``cand_u``, ``cand_v`` and ``cand_w`` are candidate edges in (w, u, v)
     order, and vertex a's candidates hold its every edge lighter than
@@ -413,7 +392,7 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
     eu, ev, ew = cand_u[cross], cand_v[cross], cand_w[cross]
     group = np.arange(count)  # each component's block, named by its first component
     slack = 1 + _SLACK
-    out_u, out_v, out_w = [], [], []
+    out_u, out_v = [], []
     while True:
         keep = group[which[eu]] != group[which[ev]]
         eu, ev, ew = eu[keep], ev[keep], ew[keep]
@@ -513,11 +492,8 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
             raise ValueError("squared distances between the points overflow")
         out_u.append(eu[picked])
         out_v.append(ev[picked])
-        out_w.append(ew[picked])
         group = names[merged[blk]]
-    u, v, w = np.concatenate(out_u), np.concatenate(out_v), np.concatenate(out_w)
-    by_key = np.lexsort((v, u, w))
-    return u[by_key], v[by_key]
+    return np.concatenate(out_u), np.concatenate(out_v)
 
 
 def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:
@@ -547,19 +523,22 @@ def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:
     return SpanningTree(tree.n, u, v, new_w, "adjusted")
 
 
-def minmax_from_center(tree: SpanningTree, center: int) -> MinmaxVector:
-    """Minmax distance from center to every vertex: the largest gap between
-    their positions in the dendrogram order.
+def minmax_from_center(tree: SpanningTree, center: int):
+    """Minmax distance from center to every other vertex: the largest gap
+    between their positions in the dendrogram order.
 
-    Two prefix-maximum scans outward from the center's position give the
-    distances as two ascending runs, one per side; nothing is gathered by id.
+    Returns ``(position, left, right)``: the center sits at ``position`` of
+    ``tree.order``, ``left[i]`` is the distance to the vertex at position
+    ``position - 1 - i`` and ``right[j]`` the one to the vertex at
+    ``position + 1 + j``. Two prefix-maximum scans outward from the center
+    give both runs ascending; nothing is gathered by id.
     """
     if not 0 <= center < tree.n:
         raise ValueError(f"center {center} out of range [0, {tree.n})")
     r = int(tree.rank[center])
     left = np.maximum.accumulate(tree.gap[:r][::-1])
     right = np.maximum.accumulate(tree.gap[r:])
-    return MinmaxVector(center, r, left, right)
+    return r, left, right
 
 
 def propagate_labels(tree: SpanningTree, labels) -> np.ndarray:

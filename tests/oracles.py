@@ -259,9 +259,9 @@ def minmax_by_id(tree, source: int) -> np.ndarray:
     vertex at position i being ``tree.order[i]``."""
     from pava.mstgraph import minmax_from_center
 
-    mm = minmax_from_center(tree, source)
+    _, left, right = minmax_from_center(tree, source)
     dist = np.empty(tree.n)
-    dist[tree.order] = np.concatenate([mm.left[::-1], [0.0], mm.right])
+    dist[tree.order] = np.concatenate([left[::-1], [0.0], right])
     return dist
 
 

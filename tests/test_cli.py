@@ -24,6 +24,7 @@ from pava.mstgraph import adjust_weights, build_mst
 from pava.neighbors import default_k, k_distance_all, nearest_lists
 
 from oracles import euclidean_matrix
+from test_engine import _last_round_degenerate
 from test_mstgraph import _overflowing_blob_grid
 
 
@@ -35,6 +36,24 @@ def moons_files(tmp_path):
     save_points_csv(pf, points)
     save_labels_csv(lf, labels)
     return pf, lf
+
+
+def _assert_emitted_histograms(prefix, model, scratch):
+    """Each ``{prefix}.round{i}.csv`` holds round i's histogram and radius,
+    written again through numpy to ``scratch``; a round without a histogram
+    has no file."""
+    for i, rnd in enumerate(model.rounds, start=1):
+        emitted = Path(f"{prefix}.round{i}.csv")
+        hist = rnd.histogram
+        if hist is None:
+            assert not emitted.exists()
+            continue
+        rows = np.column_stack([hist.bin_centers, hist.raw_freq, hist.shifted_freq,
+                                hist.smoothed_freq, np.full(hist.bins, rnd.radius)])
+        np.savetxt(scratch, rows, fmt="%.17g", delimiter=",",
+                   header="bin_center,raw_freq,shifted_freq,smoothed_freq,radius", comments="")
+        assert emitted.read_bytes() == scratch.read_bytes()
+    assert not Path(f"{prefix}.round{len(model.rounds) + 1}.csv").exists()
 
 
 class TestGenerate:
@@ -234,15 +253,20 @@ class TestCluster:
             emitted = (tmp_path / f"dump.mst_{name}.csv").read_bytes()
             assert emitted == (ref / f"mst_{name}.csv").read_bytes()
             assert emitted == (ref / f"model_{name}.csv").read_bytes()
-        assert len(model.histograms) >= 1
-        for i, (hist, rnd) in enumerate(zip(model.histograms, model.rounds), start=1):
-            rows = np.column_stack([hist.bin_centers, hist.raw_freq, hist.shifted_freq,
-                                    hist.smoothed_freq, np.full(hist.bins, rnd.radius)])
-            np.savetxt(ref / "hist.csv", rows, fmt="%.17g", delimiter=",",
-                       header="bin_center,raw_freq,shifted_freq,smoothed_freq,radius",
-                       comments="")
-            assert ((tmp_path / f"dump.round{i}.csv").read_bytes()
-                    == (ref / "hist.csv").read_bytes())
+        assert model.rounds[0].histogram is not None
+        _assert_emitted_histograms(prefix, model, ref / "hist.csv")
+
+    def test_degenerate_last_round_writes_no_histogram(self, tmp_path):
+        points = _last_round_degenerate()
+        pf = tmp_path / "dup.points.csv"
+        save_points_csv(pf, points)
+        prefix = tmp_path / "dump"
+        code = main(["cluster", str(pf), "--labels-out", str(tmp_path / "p.csv"),
+                     "--report-out", str(tmp_path / "r.json"), "--emit-histogram", str(prefix)])
+        assert code == 0
+        model = run(points)
+        assert [r.histogram is None for r in model.rounds] == [False, True]
+        _assert_emitted_histograms(prefix, model, tmp_path / "ref.csv")
 
     def test_no_adjust_flag(self, tmp_path):
         points, truth = generate_synthetic("spiral", 300, seed=2)

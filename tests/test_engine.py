@@ -76,9 +76,9 @@ class TestExtractCluster:
         assert tree.order.tolist() == [0, 1, 2, 3, 4]
         from pava.mstgraph import minmax_from_center
 
-        mm = minmax_from_center(tree, 2)
+        _, left, right = minmax_from_center(tree, 2)
         boundary = 1.5
-        assert mm.left[-1] == mm.right[-1] == boundary
+        assert left[-1] == right[-1] == boundary
         monkeypatch.setattr(engine_mod, "first_valley_radius", lambda h: boundary)
         claimed, radius, _ = extract_cluster(tree, 2, PavaConfig(), np.zeros(5, dtype=bool))
         assert radius == boundary
@@ -91,6 +91,14 @@ class TestExtractCluster:
         labeled[0] = True
         with pytest.raises(ValueError):
             extract_cluster(tree, 0, PavaConfig(), labeled)
+
+
+def _last_round_degenerate():
+    """8 copies of one point, then 900 of another. The 8 (k-distance 0, ids
+    first) claim themselves off a two-spike histogram; every distance the
+    900 copies' center keeps after the trim is 0, so the last round is
+    degenerate."""
+    return PointSet(np.repeat([[5.0, 0.0], [0.0, 0.0]], [8, 900], axis=0))
 
 
 @st.composite
@@ -140,7 +148,8 @@ class TestRoundInPositionSpace:
     @pytest.mark.parametrize("src, degenerate", [
         (generate_synthetic("blobs", 300, seed=2)[0], 0),
         (PointSet(np.zeros((30, 2))), 1),  # all distances equal
-    ], ids=["blobs-exact", "all-equal"])
+        (_last_round_degenerate(), 1),
+    ], ids=["blobs-exact", "all-equal", "last-degenerate"])
     def test_run_calls_each_traced_step_once_per_round(self, monkeypatch, src, degenerate):
         # The benchmark's tracer wraps these engine globals; every round must
         # reach them by those names.
@@ -158,7 +167,7 @@ class TestRoundInPositionSpace:
             monkeypatch.setattr(engine_mod, name, counted(name, getattr(engine_mod, name)))
         model = run(src)
         full = model.m - degenerate
-        assert len(model.histograms) == full
+        assert sum(r.histogram is not None for r in model.rounds) == full
         assert calls == {"select_center": model.m, "minmax_from_center": model.m,
                          "cap_percentile": model.m, "build_histogram": model.m,
                          "smooth_profile": full, "first_valley_radius": full}
@@ -285,9 +294,9 @@ class TestRun:
     def test_keep_histograms(self):
         points, _ = generate_synthetic("twomoons", 300, seed=11)
         model = run(points)
-        assert model.histograms is not None
-        assert len(model.histograms) <= len(model.rounds)
-        assert all(h.smoothed_freq is not None for h in model.histograms)
+        hists = [r.histogram for r in model.rounds if r.histogram is not None]
+        assert hists
+        assert all(h.smoothed_freq is not None for h in hists)
 
     @pytest.mark.parametrize("use_adjusted", [True, False])
     def test_model_carries_density_and_trees(self, use_adjusted):

@@ -168,11 +168,13 @@ def _tied_points_any_dim(draw):
 
 def _join(coords, comp):
     """``_join_components``' edges over the components ``comp`` of
-    ``coords``, given no candidate edges, as a list of (u, v)."""
+    ``coords``, given no candidate edges, as a list of (u, v) in (w, u, v)
+    order."""
     none = np.zeros(0, dtype=np.int64)
-    u, v = mstgraph._join_components(np.array(coords, float), comp, none, none, np.zeros(0),
-                                     np.zeros(len(coords)))
-    return list(zip(u.tolist(), v.tolist()))
+    x = np.array(coords, float)
+    u, v = mstgraph._join_components(x, comp, none, none, np.zeros(0), np.zeros(len(coords)))
+    by_key = np.lexsort((v, u, np.linalg.norm(x[u] - x[v], axis=1)))
+    return list(zip(u[by_key].tolist(), v[by_key].tolist()))
 
 
 def _assert_edges(tree, ref):
@@ -314,8 +316,8 @@ class TestBuildMst:
 
     def test_stitch_tie_rule(self):
         # Singleton components make the join a Borůvka over every pair. Among
-        # equal weights the edge with the smallest (min, max) joins. The join
-        # returns its edges in (w, u, v) order, so they compare as a list.
+        # equal weights the edge with the smallest (min, max) joins. ``_join``
+        # puts the edges in (w, u, v) order, so they compare as a list.
         cases = [
             # 1 and 2 are equally near 0: (0, 1) before (0, 2).
             ([[0, 0], [1, 0], [-1, 0]], [(0, 1), (0, 2)]),
