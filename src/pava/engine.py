@@ -10,9 +10,10 @@ of clusters is never an input: it is however many rounds the data demands.
 A round runs in the tree's dendrogram position space: the center's distances
 are two ascending runs outward from its position, the percentile and the
 histogram are read off those runs, and the claimed objects fill one interval
-of positions. The centers come off one stable k-distance order shared by all
-rounds, and a running mask tracks what is labeled. Apart from the two scans,
-only a degenerate round, which claims everything left, does O(N) work.
+of positions. The centers come off one order shared by all rounds (k-distance,
+then the sum of the k nearest distances, then id), and a running mask tracks
+what is labeled. Apart from the two scans, only a degenerate round, which
+claims everything left, does O(N) work.
 """
 
 from __future__ import annotations
@@ -106,12 +107,16 @@ class ClusterModel:
 
 
 def select_center(queue: list, labeled: np.ndarray) -> int:
-    """Unlabeled object with the minimum k-distance; ties pick the smallest index.
+    """Unlabeled object that comes first in the center order: the least
+    k-distance, then the least sum of the k nearest off-self distances, then
+    the smallest index.
 
-    ``queue`` lists the ids in descending stable k-distance order, so its end
-    is the next candidate; labeled ids are popped off that end. A run shares
-    one queue across its rounds, which makes every round's pick O(1)
-    amortized instead of a scan over all N.
+    Mutual k-th neighbours share their k-distance, so ties are common on
+    continuous input; the sum settles them by the data, not by the ids.
+    ``queue`` lists the ids in reverse center order, so its end is the next
+    candidate; labeled ids are popped off that end. A run shares one queue
+    across its rounds, which makes every round's pick O(1) amortized instead
+    of a scan over all N.
     """
     while queue and labeled[queue[-1]]:
         queue.pop()
@@ -172,7 +177,7 @@ def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
     labels = np.zeros(n, dtype=np.int64)
     labeled = np.zeros(n, dtype=bool)
     labeled_count = 0
-    queue = np.argsort(density.kdist, kind="stable")[::-1].tolist()
+    queue = np.lexsort((density.ksum, density.kdist))[::-1].tolist()
     rounds: list[ClusterRound] = []
     target_labeled = (1.0 - cfg.stop_fraction) * n
     while True:

@@ -105,8 +105,10 @@ def build_mst(src, knn=None) -> SpanningTree:
 
 def _distances(x, u, v):
     """Euclidean distances between rows ``u`` and ``v`` of ``x``: the one
-    formula that weights every point-set edge."""
-    return np.sqrt(((x[u] - x[v]) ** 2).sum(axis=1))
+    formula that weights every point-set edge. A distance whose square
+    overflows is inf, which the tree's builders refuse."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(((x[u] - x[v]) ** 2).sum(axis=1))
 
 
 def _kruskal_candidates(p: PointSet, knn) -> SpanningTree:
@@ -134,6 +136,8 @@ def _kruskal_candidates(p: PointSet, knn) -> SpanningTree:
     u = np.concatenate([dup_u, np.minimum(a, b)])
     v = np.concatenate([order[copies], np.maximum(a, b)])
     w = _distances(x, u, v)
+    if np.isinf(w).any():
+        raise ValueError("squared distances between the points overflow")
     by_key = np.lexsort((v, u, w))
     return SpanningTree(p.n, u[by_key], v[by_key], w[by_key], "raw")
 
@@ -376,8 +380,9 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
         owner = np.repeat(np.arange(len(s)), lengths)
         ids = members[np.arange(lengths.sum()) + (first[s] - seg)[owner]]
         xq = x[ids]
-        gap = np.clip(xq, lo[t][owner], hi[t][owner]) - xq
-        box = np.sqrt((gap * gap).sum(axis=1))
+        with np.errstate(over="ignore"):  # an overflowing gap is inf, as in _distances
+            gap = np.clip(xq, lo[t][owner], hi[t][owner]) - xq
+            box = np.sqrt((gap * gap).sum(axis=1))
         hits = np.flatnonzero(box == np.minimum.reduceat(box, seg)[owner])
         return ids, owner, seg, box, hits[np.searchsorted(hits, seg)]
 
@@ -415,8 +420,9 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
             s, t = lost[found], near[lost[found], pick[found]]
             blind = np.setdiff1d(group[lost], group[s])
             if blind.size:
-                gap = np.maximum(lo[None] - hi[blind, None], lo[blind, None] - hi[None])
-                gap = (gap.clip(0) ** 2).sum(axis=2)
+                with np.errstate(over="ignore"):
+                    gap = np.maximum(lo[None] - hi[blind, None], lo[blind, None] - hi[None])
+                    gap = (gap.clip(0) ** 2).sum(axis=2)
                 gap[group[None] == blind[:, None]] = np.inf
                 s, t = np.append(s, blind), np.append(t, gap.argmin(axis=1))
             ids, owner, seg, box, probe = facing(s, t)
@@ -438,8 +444,9 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
         lengths = np.fromiter(map(len, hits), np.int64, count)
         s = np.repeat(np.arange(count), lengths)
         t = np.fromiter(itertools.chain.from_iterable(hits), np.int64, lengths.sum())
-        gap = np.maximum(np.maximum(lo[t] - hi[s], lo[s] - hi[t]), 0)
-        gap = np.sqrt((gap * gap).sum(axis=1))
+        with np.errstate(over="ignore"):
+            gap = np.maximum(np.maximum(lo[t] - hi[s], lo[s] - hi[t]), 0)
+            gap = np.sqrt((gap * gap).sum(axis=1))
         apart = (group[s] != group[t]) & (gap <= np.maximum(level[s], level[t]) * slack)
         s, t = s[apart], t[apart]
         # Each pair once, queried from its smaller component.

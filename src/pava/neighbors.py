@@ -35,10 +35,13 @@ def query_workers() -> int:
 
 @dataclass(frozen=True)
 class DensityProfile:
-    """Per-object k-distance vector together with the k it was computed for."""
+    """Per-object k-distance vector together with the k it was computed for,
+    and ``ksum``, each object's sum of its k nearest off-self distances,
+    which breaks ties in k-distance when centers are picked."""
 
     kdist: np.ndarray
     k: int
+    ksum: np.ndarray
 
 
 def build_index(p: PointSet) -> cKDTree:
@@ -84,7 +87,8 @@ def k_distance_all(src, k: int, k_graph: int | None = None):
 
     Ties are handled by taking the k-th smallest off-self distance, which is
     the unique value with at least k others no farther and at most k-1 strictly
-    nearer.
+    nearer. ``ksum`` adds the k smallest in ascending order, so a point set
+    and its matrix give it the same bits.
 
     With ``k_graph`` (the neighbour count of the tree's certified kNN forest),
     the call returns ``(profile, lists)``. For a PointSet the one query asks
@@ -99,14 +103,15 @@ def k_distance_all(src, k: int, k_graph: int | None = None):
     # Self is at distance 0, no other distance is smaller, so the (k+1)-th
     # smallest distance with self equals the k-th smallest without it.
     if isinstance(src, DissimilarityMatrix):
-        kdist, lists = np.empty(n), None
+        kdist, ksum, lists = np.empty(n), np.empty(n), None
         for start in range(0, n, MATRIX_BLOCK_ROWS):
             rows = slice(start, start + MATRIX_BLOCK_ROWS)
-            kdist[rows] = np.partition(src.values[rows], k, axis=1)[:, k]
+            nearest = np.sort(np.partition(src.values[rows], k, axis=1)[:, :k + 1], axis=1)
+            kdist[rows], ksum[rows] = nearest[:, k], nearest[:, 1:].sum(axis=1)
     elif isinstance(src, PointSet):
         lists = nearest_lists(src, max(k, k_graph or 0) + 1)
-        kdist = lists[0][:, k]
+        kdist, ksum = lists[0][:, k], lists[0][:, 1:k + 1].sum(axis=1)
     else:
         raise TypeError(f"unsupported source type {type(src).__name__}")
-    profile = DensityProfile(np.ascontiguousarray(kdist), k)
+    profile = DensityProfile(np.ascontiguousarray(kdist), k, ksum)
     return profile if k_graph is None else (profile, lists)

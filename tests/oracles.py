@@ -30,10 +30,19 @@ def brute_knn(coords: np.ndarray, query: np.ndarray, k: int):
 
 def kdist_bruteforce(dist_matrix: np.ndarray, k: int) -> np.ndarray:
     """k-th smallest off-diagonal entry of every row, by full sort."""
+    return _sorted_off_diagonal(dist_matrix)[:, k - 1]
+
+
+def ksum_bruteforce(dist_matrix: np.ndarray, k: int) -> np.ndarray:
+    """Sum of the k smallest off-diagonal entries of every row, ascending, by full sort."""
+    return _sorted_off_diagonal(dist_matrix)[:, :k].sum(axis=1)
+
+
+def _sorted_off_diagonal(dist_matrix: np.ndarray) -> np.ndarray:
     d = dist_matrix.copy().astype(np.float64)
     np.fill_diagonal(d, np.inf)
     d.sort(axis=1)
-    return d[:, k - 1]
+    return d
 
 
 def _prufer_edges(seq, n):

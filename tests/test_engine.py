@@ -337,7 +337,7 @@ class TestRun:
         assert np.array_equal(model.raw_tree.edge_u, ref_u)
         assert np.array_equal(model.raw_tree.edge_v, ref_v)
         assert np.array_equal(model.raw_tree.edge_w, ref_w)
-        assert set(vars(model.density)) == {"kdist", "k"}
+        assert set(vars(model.density)) == {"kdist", "k", "ksum"}
 
     @given(_degenerate_sources())
     @settings(max_examples=60, deadline=None)
@@ -365,10 +365,13 @@ class TestRun:
            st.integers(min_value=0, max_value=2**16), st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=20, deadline=None)
     @example("twomoons", 200, 1, 1)  # (w * kd_u) * kd_v gives a radius 1 ulp apart
+    @example("spiral", 299, 461, 0)  # 103 and 107, mutual 6th neighbours, tie as centers
     def test_permuted_input_permutes_the_labels(self, shape, n, seed, perm_seed):
-        # Continuous noise leaves no equal distances or k-distances, so a
-        # permutation changes only the ids: the labels follow it and every
-        # radius keeps its bits.
+        # Continuous noise leaves no equal distances, but mutual k-th
+        # neighbours share their k-distance, so centers often tie on it. The
+        # sum of the k nearest distances settles such ties, so a permutation
+        # changes only the ids: the labels follow it and every radius keeps
+        # its bits.
         points, _ = generate_synthetic(shape, n, seed)
         perm = np.random.default_rng(perm_seed).permutation(n)
         matrix = euclidean_matrix(points.coords)

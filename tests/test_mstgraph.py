@@ -536,17 +536,23 @@ class TestExactTreeInLowDimensions:
         _assert_edges(build_mst(DissimilarityMatrix(euclidean_matrix(points.coords))), ref)
 
 
+def _density(kdist, k):
+    """A DensityProfile of the given k-distances; adjustment reads no sums."""
+    kdist = np.asarray(kdist, dtype=float)
+    return DensityProfile(kdist, k, np.zeros_like(kdist))
+
+
 class TestAdjustWeights:
     def test_cube_root_example(self):
         tree = SpanningTree(2, [0], [1], [8.0])
-        adj = adjust_weights(tree, DensityProfile(np.array([1.0, 8.0]), 1))
+        adj = adjust_weights(tree, _density(np.array([1.0, 8.0]), 1))
         assert adj.edge_w[0] == pytest.approx(4.0, rel=1e-12)
         assert adj.kind == "adjusted"
 
     def test_fixed_point(self):
         c = 0.37
         tree = SpanningTree(2, [0], [1], [c])
-        adj = adjust_weights(tree, DensityProfile(np.array([c, c]), 1))
+        adj = adjust_weights(tree, _density(np.array([c, c]), 1))
         assert adj.edge_w[0] == pytest.approx(c, rel=1e-12)
 
     def test_random_tree_matches_formula(self):
@@ -556,7 +562,7 @@ class TestAdjustWeights:
         weights = rng.uniform(0.1, 5.0, n - 1)
         tree = SpanningTree(n, parents, np.arange(1, n), weights)
         kdist = rng.uniform(0.01, 2.0, n)
-        adj = adjust_weights(tree, DensityProfile(kdist, 3))
+        adj = adjust_weights(tree, _density(kdist, 3))
         for u, v, w0, w1 in zip(tree.edge_u, tree.edge_v, tree.edge_w, adj.edge_w):
             assert w1 == pytest.approx((w0 * kdist[u] * kdist[v]) ** (1.0 / 3.0), rel=1e-12)
 
@@ -567,14 +573,14 @@ class TestAdjustWeights:
         n = 40
         parents = [int(rng.integers(0, v)) for v in range(1, n)]
         weights = rng.uniform(0.1, 5.0, n - 1)
-        kdist = DensityProfile(rng.uniform(0.01, 2.0, n), 3)
+        kdist = _density(rng.uniform(0.01, 2.0, n), 3)
         tree = adjust_weights(SpanningTree(n, parents, np.arange(1, n), weights), kdist)
         flipped = adjust_weights(SpanningTree(n, np.arange(1, n), parents, weights), kdist)
         assert tree.edge_w.tobytes() == flipped.edge_w.tobytes()
 
     def test_overflowing_product_stays_finite(self):
         tree = SpanningTree(3, [0, 1], [1, 2], [1e300, 1.5e300])
-        kdist = DensityProfile(np.array([2e300, 1.5e300, 2e300]), 2)
+        kdist = _density(np.array([2e300, 1.5e300, 2e300]), 2)
         with np.errstate(all="raise"):
             adj = adjust_weights(tree, kdist)
         want = [np.cbrt(1e300) * np.cbrt(2e300) * np.cbrt(1.5e300),
@@ -583,7 +589,7 @@ class TestAdjustWeights:
 
     def test_preserves_edge_set(self):
         tree = build_mst(_points_1d([0, 1, 3, 7]))
-        adj = adjust_weights(tree, DensityProfile(np.ones(4), 1))
+        adj = adjust_weights(tree, _density(np.ones(4), 1))
         assert np.array_equal(adj.edge_u, tree.edge_u)
         assert np.array_equal(adj.edge_v, tree.edge_v)
 
@@ -863,12 +869,15 @@ class TestCertifiedForest:
     def test_overflowing_squared_distances_raise(self):
         # Squared distances between blobs pass the largest double. Where the
         # neighbour lists reach another blob, the kd-tree names no neighbour
-        # there; where they do not, every join edge weighs inf. Both must end
-        # in a clear error, not an IndexError or a loop without end.
+        # there; where they do not, every join edge weighs inf. In 1-D the
+        # chain's edge between the groups weighs inf. Each must end in a
+        # clear error, not an IndexError or a loop without end, and without
+        # a numpy warning on the way (pyproject.toml makes one an error).
         rng = np.random.default_rng(7)
         clouds = np.vstack([rng.normal(size=(100, 3)), rng.normal(size=(100, 3)) + [1e155, 0, 0]])
-        for points in (_overflowing_blob_grid(), PointSet(clouds)):
-            with _time_bound(), np.errstate(over="ignore"):
+        line = np.concatenate([rng.normal(size=50) - 1e308, rng.normal(size=50) + 1e308])
+        for points in (_overflowing_blob_grid(), PointSet(clouds), PointSet(line[:, None])):
+            with _time_bound():
                 with pytest.raises(ValueError, match="squared distances between the points overflow"):
                     build_mst(points)
 

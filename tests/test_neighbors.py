@@ -9,7 +9,7 @@ from pava import neighbors
 from pava.dataset import DissimilarityMatrix, PointSet
 from pava.neighbors import build_index, default_k, k_distance_all, query_workers
 
-from oracles import brute_knn, euclidean_matrix, kdist_bruteforce
+from oracles import brute_knn, euclidean_matrix, kdist_bruteforce, ksum_bruteforce
 
 
 def _points_1d(values):
@@ -74,10 +74,12 @@ class TestKDistanceAll:
     def test_three_points_k1(self):
         prof = k_distance_all(_points_1d([0, 1, 3]), 1)
         assert prof.kdist.tolist() == [1.0, 1.0, 2.0]
+        assert prof.ksum.tolist() == [1.0, 1.0, 2.0]
 
     def test_three_points_k2(self):
         prof = k_distance_all(_points_1d([0, 1, 3]), 2)
         assert prof.kdist.tolist() == [3.0, 2.0, 3.0]
+        assert prof.ksum.tolist() == [4.0, 3.0, 5.0]
 
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="k must be < N"):
@@ -90,15 +92,17 @@ class TestKDistanceAll:
         for k in (1, 3, 7):
             prof = k_distance_all(PointSet(coords), k)
             assert np.array_equal(prof.kdist, kdist_bruteforce(ref, k))
+            assert np.array_equal(prof.ksum, ksum_bruteforce(ref, k))
 
     def test_matrix_mode_matches_point_mode(self):
         rng = np.random.default_rng(4)
         coords = rng.normal(size=(60, 3))
         matrix = DissimilarityMatrix(euclidean_matrix(coords))
-        for k in (1, 5):
-            from_points = k_distance_all(PointSet(coords), k).kdist
-            from_matrix = k_distance_all(matrix, k).kdist
-            assert np.array_equal(from_points, from_matrix)
+        for k in (1, 5, 9):
+            from_points = k_distance_all(PointSet(coords), k)
+            from_matrix = k_distance_all(matrix, k)
+            assert np.array_equal(from_points.kdist, from_matrix.kdist)
+            assert from_points.ksum.tobytes() == from_matrix.ksum.tobytes()
 
     def test_matrix_k_distance_reads_row_blocks_in_place(self):
         # Integer dissimilarities tie often and off-diagonal zeros are
@@ -112,7 +116,9 @@ class TestKDistanceAll:
             matrix = DissimilarityMatrix(values)
             before = matrix.values.copy()
             for k in range(1, matrix.n):
-                assert np.array_equal(k_distance_all(matrix, k).kdist, kdist_bruteforce(values, k))
+                prof = k_distance_all(matrix, k)
+                assert np.array_equal(prof.kdist, kdist_bruteforce(values, k))
+                assert np.array_equal(prof.ksum, ksum_bruteforce(values, k))
             assert np.array_equal(matrix.values, before)
 
     def test_matrix_k_distance_makes_no_full_copy(self):
