@@ -29,6 +29,7 @@ from .mstgraph import (
     adjust_weights,
     build_mst,
     forest_k_graph,
+    key_order,
     minmax_from_center,
     propagate_labels,
 )
@@ -170,14 +171,19 @@ def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
     timings["density_s"] = t1 - t0
     raw_tree = build_mst(src, knn)
     del knn
-    tree = adjust_weights(raw_tree, density) if cfg.use_adjusted else raw_tree
     t2 = time.perf_counter()
     timings["mst_s"] = t2 - t1
+    tree = adjust_weights(raw_tree, density) if cfg.use_adjusted else raw_tree
+    t3 = time.perf_counter()
+    timings["adjust_s"] = t3 - t2
+    tree.order  # the dendrogram order every round reads, computed once here
+    t4 = time.perf_counter()
+    timings["order_s"] = t4 - t3
 
     labels = np.zeros(n, dtype=np.int64)
     labeled = np.zeros(n, dtype=bool)
     labeled_count = 0
-    queue = np.lexsort((density.ksum, density.kdist))[::-1].tolist()
+    queue = key_order(density.ksum, density.kdist)[::-1].tolist()
     rounds: list[ClusterRound] = []
     target_labeled = (1.0 - cfg.stop_fraction) * n
     while True:
@@ -191,12 +197,12 @@ def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
         rounds.append(ClusterRound(center, radius, claimed, time.perf_counter() - round_start, hist))
         if labeled_count >= target_labeled or n - labeled_count < cfg.min_unlabeled:
             break
-    t3 = time.perf_counter()
-    timings["extraction_s"] = t3 - t2
+    t5 = time.perf_counter()
+    timings["extraction_s"] = t5 - t4
 
     if np.any(labels == 0):
         labels = propagate_labels(tree, labels)
-    timings["propagation_s"] = time.perf_counter() - t3
+    timings["propagation_s"] = time.perf_counter() - t5
     timings["total_s"] = time.perf_counter() - t0
 
     return ClusterModel(

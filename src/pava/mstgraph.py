@@ -11,6 +11,12 @@ minmax distance between the leaves at positions i < j at max(gap[i:j])
 (Gower & Ross 1969), so a center's distances to every object take two
 prefix-maximum scans.
 
+Ties resolve by one key order: edges by (w, min(u, v), max(u, v)), points by
+their coordinates, centers by (k-distance, k-sum, id), and rows equal on every
+key by id. ``key_order`` gives that order, the one ``np.lexsort`` gives, from
+unstable sorts: one of the last key, then passes over only the rows it leaves
+tied.
+
 Density adjustment rescales each tree edge to the cube root of
 weight * kdist(u) * kdist(v): edges touching sparse-region vertices (large
 k-distance) grow, which pushes noise chains away from cluster bodies while
@@ -103,6 +109,65 @@ def build_mst(src, knn=None) -> SpanningTree:
     return _prim_exact(src)
 
 
+def key_order(*keys):
+    """``np.lexsort(keys)``: row ids ordered by the last key, rows tied there
+    by the key before it, and so on, and rows tied on every key by id.
+
+    One unstable ``np.argsort`` orders the last key. The rows it leaves tied
+    are then ordered within their runs by the key before it, and so on, and
+    last by id. Each step takes only the rows still tied, ranks their values
+    of the key, and sorts them by (run, rank), a key with no ties, so the
+    result does not depend on which unstable sort ran. Rows already in key
+    order stay. ``np.lexsort`` sorts all rows where over half of a 1-in-16
+    sample of the last key repeats a value, as on lattices or constant keys,
+    and where a key holds NaN, which an unstable sort puts last without
+    breaking its ties.
+    """
+    last = keys[-1]
+    n = len(last)
+    sample = last[::16]
+    if np.all(sample[1:] >= sample[:-1]):  # the rows may be in key order already
+        ahead = np.zeros(max(n - 1, 0), dtype=bool)  # each row before the next on the keys checked
+        for key in keys[::-1]:
+            if not np.all(ahead | (key[1:] >= key[:-1])):
+                break
+            ahead |= key[1:] > key[:-1]
+        else:
+            return np.arange(n)
+    sample = np.sort(sample)
+    if 2 * np.count_nonzero(sample[1:] == sample[:-1]) > len(sample):
+        return np.lexsort(keys)
+    order = np.argsort(last)
+    at = np.arange(n)  # the positions of the rows still tied
+    runs = last[order]  # the sorted values that tie them
+    if runs[-1] != runs[-1]:
+        return np.lexsort(keys)
+    for key in keys[-2::-1] + (None,):
+        same = runs[1:] == runs[:-1]
+        after = np.append(False, same)  # equal to the row before
+        tied = np.flatnonzero(after | np.append(same, False))
+        if not tied.size:
+            break
+        run = np.cumsum(~after[tied])
+        at = at[tied]
+        rows = order[at]
+        if key is None:
+            rank = rows
+        else:
+            values = key[rows]
+            by = np.argsort(values)
+            values = values[by]
+            if values[-1] != values[-1]:
+                return np.lexsort(keys)
+            rank = np.empty(len(rows), dtype=np.int64)
+            rank[by] = np.cumsum(np.append(False, values[1:] != values[:-1]))
+        runs = run * n + rank  # rank and id are below n
+        by = np.argsort(runs)
+        order[at] = rows[by]
+        runs = runs[by]
+    return order
+
+
 def _distances(x, u, v):
     """Euclidean distances between rows ``u`` and ``v`` of ``x``: the one
     formula that weights every point-set edge. A distance whose square
@@ -123,7 +188,7 @@ def _kruskal_candidates(p: PointSet, knn) -> SpanningTree:
     dimensions give their canonical tree by ``_certified_tree``.
     """
     x = p.coords
-    order = np.lexsort(x.T[::-1])  # equal points adjacent, ids ascending
+    order = key_order(*x.T[::-1])  # equal points adjacent, ids ascending
     xs = x[order]
     first = np.append(True, np.any(xs[1:] != xs[:-1], axis=1))
     name = order[first]  # each site's smallest id, in sorted order
@@ -138,7 +203,7 @@ def _kruskal_candidates(p: PointSet, knn) -> SpanningTree:
     w = _distances(x, u, v)
     if np.isinf(w).any():
         raise ValueError("squared distances between the points overflow")
-    by_key = np.lexsort((v, u, w))
+    by_key = key_order(v, u, w)
     return SpanningTree(p.n, u[by_key], v[by_key], w[by_key], "raw")
 
 
@@ -179,7 +244,7 @@ def _certified_tree(x, names, knn):
     keys.sort()
     u, v = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], s)
     w = _distances(sites, u, v)
-    by_key = np.argsort(w, kind="stable")  # (w, u, v) order
+    by_key = key_order(w)  # (w, u, v) order, the pairs being ascending in (u, v)
     u, v, w = u[by_key], v[by_key], w[by_key]
     bound = dists[:, -1] * (1 - _SLACK)
     picked, comp = _knn_forest(s, u, v, w, bound)
@@ -221,7 +286,7 @@ def _prim_exact(src) -> SpanningTree:
             u = int(tied[np.lexsort((np.maximum(*ends), np.minimum(*ends)))[0]])
         edge_u[i], edge_v[i], edge_w[i] = parent[u], u, best[u]
     low, high = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
-    ranked = np.lexsort((high, low, edge_w))
+    ranked = key_order(high, low, edge_w)
     return SpanningTree(n, low[ranked], high[ranked], edge_w[ranked], "raw")
 
 
@@ -238,7 +303,7 @@ def _dendrogram_order(n: int, edge_u, edge_v, edge_w):
     head, tail = list(range(n)), list(range(n))
     next_leaf, gap_after = [0] * n, [0.0] * n
     us, vs, ws = edge_u.tolist(), edge_v.tolist(), edge_w.tolist()
-    for i in np.lexsort((edge_v, edge_u, edge_w)).tolist():
+    for i in key_order(edge_v, edge_u, edge_w).tolist():
         a, b = us[i], vs[i]
         while link[a] != a:
             link[a] = a = link[link[a]]
@@ -487,7 +552,7 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
         u = np.concatenate([eu, np.minimum(a, b)])
         v = np.concatenate([ev, np.maximum(a, b)])
         w = np.concatenate([ew] + new_w)
-        by_key = np.lexsort((v, u, w))
+        by_key = key_order(v, u, w)
         u, v, w = u[by_key], v[by_key], w[by_key]
         fresh = np.append(True, (u[1:] != u[:-1]) | (v[1:] != v[:-1]))
         eu, ev, ew = u[fresh], v[fresh], w[fresh]

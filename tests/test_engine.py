@@ -284,8 +284,10 @@ class TestRun:
         points, _ = generate_synthetic("blobs", 150, seed=10)
         model = run(points)
         assert isinstance(model, ClusterModel)
-        for key in ("density_s", "mst_s", "extraction_s", "propagation_s", "total_s"):
-            assert model.timings[key] >= 0.0
+        phases = ("density_s", "mst_s", "adjust_s", "order_s", "extraction_s", "propagation_s")
+        assert set(model.timings) == {*phases, "total_s"}
+        assert all(model.timings[key] >= 0.0 for key in model.timings)
+        assert sum(model.timings[key] for key in phases) <= model.timings["total_s"]
         for rnd in model.rounds:
             assert 0 <= rnd.center < points.n
             assert rnd.radius > 0

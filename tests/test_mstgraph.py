@@ -13,10 +13,12 @@ from scipy.spatial import cKDTree
 
 from pava import mstgraph
 from pava.dataset import DissimilarityMatrix, PointSet
+from pava.engine import run
 from pava.mstgraph import (
     SpanningTree,
     adjust_weights,
     build_mst,
+    key_order,
     minmax_from_center,
     propagate_labels,
 )
@@ -918,3 +920,78 @@ class TestCertifiedForest:
         assert tree.total_weight == pytest.approx(want, rel=1e-12)
         small = np.repeat(sites[:30], 15, axis=0)[rng.permutation(450)]
         _assert_edges(build_mst(PointSet(small)), canonical_mst(PointSet(small)))
+
+
+@st.composite
+def _lexsort_keys(draw):
+    """1 to 4 int or float keys of one length in 0..300, each with few or
+    many distinct values; float keys mix -0.0 and 0.0, hold +-inf and now
+    and then NaN. The rows come as drawn, or already in key order."""
+    n = draw(st.integers(min_value=0, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    keys = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        distinct = draw(st.sampled_from([1, 2, 3, 7, 40, 1000]))
+        if draw(st.booleans()):
+            dtype = draw(st.sampled_from([np.int32, np.int64]))
+            keys.append(rng.integers(-distinct, distinct, n).astype(dtype))
+        else:
+            special = [-np.inf, -0.0, 0.0, np.inf] + [np.nan] * draw(st.booleans())
+            keys.append(rng.choice(np.append(special, rng.normal(size=distinct)), n))
+    if draw(st.booleans()):
+        keys = [key[np.lexsort(keys)] for key in keys]
+    return keys
+
+
+_ARGSORT = np.argsort
+
+
+def _ties_reversed(a):
+    """An argsort that breaks ties by descending position."""
+    return len(a) - 1 - _ARGSORT(a[::-1], kind="stable")
+
+
+class TestKeyOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(_lexsort_keys())
+    @example([np.zeros(300), np.zeros(300), np.zeros(300)])
+    @example([np.full(300, 7)])
+    def test_equals_lexsort_whichever_unstable_sort_runs(self, keys):
+        # numpy 1.24 sorts with introsort and numpy 2.x with SIMD sorts,
+        # which leave ties in different orders; the result may not depend on it.
+        want = np.lexsort(keys)
+        for argsort in (_ARGSORT, lambda a: _ARGSORT(a, kind="heapsort"), _ties_reversed):
+            with mock.patch.object(np, "argsort", argsort):
+                got = key_order(*keys)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_run_makes_no_full_size_stable_sort(self, monkeypatch):
+        # Continuous 3-D blobs leave few ties, so a stable sort in a run may
+        # see only a small share of the rows. A full np.lexsort of the
+        # coordinates, the candidate edges, the tree's rows or the centers,
+        # or a stable float argsort, would see thousands.
+        coords = _blob_grid(np.random.default_rng(19), 4, per_blob=47)
+        lexsorted, stable, candidates = [], [], []
+        knn_forest, lexsort, argsort = mstgraph._knn_forest, np.lexsort, np.argsort
+
+        def spy_forest(n, cand_u, *args):
+            candidates.append(len(cand_u))
+            return knn_forest(n, cand_u, *args)
+
+        def spy_lexsort(keys):
+            lexsorted.append(len(keys[0]))
+            return lexsort(keys)
+
+        def spy_argsort(a, *args, **kwargs):
+            if kwargs.get("kind") == "stable" and np.asarray(a).dtype.kind == "f":
+                stable.append(len(a))
+            return argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(mstgraph, "_knn_forest", spy_forest)
+        monkeypatch.setattr(np, "lexsort", spy_lexsort)
+        monkeypatch.setattr(np, "argsort", spy_argsort)
+        run(PointSet(coords))
+        assert candidates[0] > 5 * len(coords)
+        assert max(lexsorted, default=0) < len(coords) // 4
+        assert not stable
