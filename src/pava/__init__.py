@@ -16,7 +16,7 @@ from .dataset import (
     load_matrix_csv,
     load_points_csv,
 )
-from .engine import ClusterModel, ClusterRound, PavaConfig, extract_cluster, run, select_center
+from .engine import ClusterModel, ClusterRound, PavaConfig, extract_cluster, run, select_center, sweep
 from .metrics import ContingencyTable, adjusted_rand_index, pairwise_f_score, rand_index
 from .mstgraph import SpanningTree, adjust_weights, build_mst, minmax_from_center, propagate_labels
 from .neighbors import DensityProfile, build_index, default_k, k_distance_all
@@ -61,4 +61,5 @@ __all__ = [
     "run",
     "select_center",
     "smooth_profile",
+    "sweep",
 ]

@@ -10,7 +10,6 @@ import argparse
 import dataclasses
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ from .dataset import (
     save_points_csv,
     write_csv,
 )
-from .engine import ClusterModel, PavaConfig, run
+from .engine import ClusterModel, PavaConfig, run, sweep
 from .metrics import adjusted_rand_index, pairwise_f_score, rand_index
 from .neighbors import default_k, k_distance_all, query_workers  # noqa: F401 (traced)
 
@@ -279,21 +278,18 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"k must be < N (k={max(k_values)}, N={src.n})")
     truth = _load_truth(args.labels_true, src.n) if args.labels_true else None
 
-    lines = ["dataset,k,repeat,seed,RI,ARI,FS,M,runtime_ms,density_ms,mst_ms,extract_ms,propagate_ms"]
-    for cfg in configs:
-        k = cfg.k
-        for rep in range(args.repeats):
-            start = time.perf_counter()
-            model = run(src, cfg)
-            runtime_ms = (time.perf_counter() - start) * 1000.0
+    rows = [[] for _ in configs]  # per k, one row per repeat
+    for rep in range(args.repeats):
+        for row, cfg, model in zip(rows, configs, sweep(src, configs)):
             scores = _scores(truth, model.labels).values() if truth is not None else ("",) * 3
             t = model.timings
-            lines.append(
-                f"{input_path.name},{k},{rep},{args.seed},{','.join(map(str, scores))},{model.m},"
-                f"{runtime_ms:.3f},{t['density_s'] * 1e3:.3f},{t['mst_s'] * 1e3:.3f},"
+            row.append(
+                f"{input_path.name},{cfg.k},{rep},{args.seed},{','.join(map(str, scores))},{model.m},"
+                f"{t['total_s'] * 1e3:.3f},{t['density_s'] * 1e3:.3f},{t['mst_s'] * 1e3:.3f},"
                 f"{t['extraction_s'] * 1e3:.3f},{t['propagation_s'] * 1e3:.3f}"
             )
-    table = "\n".join(lines) + "\n"
+    header = "dataset,k,repeat,seed,RI,ARI,FS,M,runtime_ms,density_ms,mst_ms,extract_ms,propagate_ms"
+    table = "\n".join([header] + [line for row in rows for line in row]) + "\n"
     if args.out:
         Path(args.out).write_text(table)
     else:

@@ -6,6 +6,8 @@ radius off the first valley of the distance histogram, and claims every
 unlabeled object strictly inside that radius. Rounds repeat until nearly
 everything is labeled; the remainder is assigned along the tree. The number
 of clusters is never an input: it is however many rounds the data demands.
+``sweep`` clusters under several configs from one neighbour query and one raw
+tree, neither of which depends on k; ``run`` is its one-config case.
 
 A round runs in the tree's dendrogram position space: the center's distances
 are two ascending runs outward from its position, the percentile and the
@@ -33,7 +35,7 @@ from .mstgraph import (
     minmax_from_center,
     propagate_labels,
 )
-from .neighbors import DensityProfile, default_k, k_distance_all
+from .neighbors import DensityProfile, default_k, k_distance_all, read_profile
 from .valley import (
     DEFAULT_BINS,
     DEFAULT_SMOOTH_WINDOW,
@@ -155,62 +157,72 @@ def extract_cluster(tree: SpanningTree, center: int, cfg: PavaConfig, labeled: n
 
 
 def run(src, cfg: PavaConfig | None = None) -> ClusterModel:
-    """Cluster a PointSet or DissimilarityMatrix; deterministic for fixed inputs."""
-    if cfg is None:
-        cfg = PavaConfig()
+    """Cluster a PointSet or DissimilarityMatrix; deterministic for fixed
+    inputs. ``sweep``'s one-config case."""
+    return sweep(src, [cfg if cfg is not None else PavaConfig()])[0]
+
+
+def sweep(src, cfgs: list[PavaConfig]) -> list[ClusterModel]:
+    """One model per config, each the one ``run(src, cfg)`` returns.
+
+    k enters only through the density, so one neighbour query of the largest
+    k's columns (and the certified forest's) serves every config's density and
+    the raw tree, and that one tree serves every config. A matrix, which has
+    no lists, partitions its rows again for each other config. The first
+    model's ``density_s`` and ``mst_s`` carry every density and the tree;
+    each model's ``total_s`` is its share of the call's wall time, so the
+    shares add up to it.
+    """
     if not isinstance(src, (PointSet, DissimilarityMatrix)):
         raise TypeError(f"unsupported source type {type(src).__name__}")
+    if not cfgs:
+        return []
     n = src.n
-    k = cfg.k if cfg.k is not None else default_k(n)
-
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    # One neighbour query serves the density and the tree's certified forest.
-    density, knn = k_distance_all(src, k, forest_k_graph(n))
+    ks = [cfg.k if cfg.k is not None else default_k(n) for cfg in cfgs]
+    start = time.perf_counter()
+    # One neighbour query serves every density and the tree's certified forest.
+    widest, knn = k_distance_all(src, max(ks), forest_k_graph(n))
+    densities = [widest if k == widest.k else k_distance_all(src, k) if knn is None
+                 else read_profile(knn[0], k) for k in ks]
     t1 = time.perf_counter()
-    timings["density_s"] = t1 - t0
     raw_tree = build_mst(src, knn)
     del knn
-    t2 = time.perf_counter()
-    timings["mst_s"] = t2 - t1
-    tree = adjust_weights(raw_tree, density) if cfg.use_adjusted else raw_tree
-    t3 = time.perf_counter()
-    timings["adjust_s"] = t3 - t2
-    tree.order  # the dendrogram order every round reads, computed once here
-    t4 = time.perf_counter()
-    timings["order_s"] = t4 - t3
+    timings = {"density_s": t1 - start, "mst_s": time.perf_counter() - t1}
+    models: list[ClusterModel] = []
+    for cfg, density in zip(cfgs, densities):
+        t2 = time.perf_counter()
+        tree = adjust_weights(raw_tree, density) if cfg.use_adjusted else raw_tree
+        t3 = time.perf_counter()
+        timings["adjust_s"] = t3 - t2
+        tree.order  # the dendrogram order every round reads, computed once here
+        t4 = time.perf_counter()
+        timings["order_s"] = t4 - t3
 
-    labels = np.zeros(n, dtype=np.int64)
-    labeled = np.zeros(n, dtype=bool)
-    labeled_count = 0
-    queue = key_order(density.ksum, density.kdist)[::-1].tolist()
-    rounds: list[ClusterRound] = []
-    target_labeled = (1.0 - cfg.stop_fraction) * n
-    while True:
-        round_start = time.perf_counter()
-        center = select_center(queue, labeled)
-        claimed, radius, hist = extract_cluster(tree, center, cfg, labeled)
-        m = len(rounds) + 1
-        labels[claimed] = m
-        labeled[claimed] = True
-        labeled_count += claimed.size
-        rounds.append(ClusterRound(center, radius, claimed, time.perf_counter() - round_start, hist))
-        if labeled_count >= target_labeled or n - labeled_count < cfg.min_unlabeled:
-            break
-    t5 = time.perf_counter()
-    timings["extraction_s"] = t5 - t4
+        labels = np.zeros(n, dtype=np.int64)
+        labeled = np.zeros(n, dtype=bool)
+        labeled_count = 0
+        queue = key_order(density.ksum, density.kdist)[::-1].tolist()
+        rounds: list[ClusterRound] = []
+        target_labeled = (1.0 - cfg.stop_fraction) * n
+        while True:
+            round_start = time.perf_counter()
+            center = select_center(queue, labeled)
+            claimed, radius, hist = extract_cluster(tree, center, cfg, labeled)
+            m = len(rounds) + 1
+            labels[claimed] = m
+            labeled[claimed] = True
+            labeled_count += claimed.size
+            rounds.append(ClusterRound(center, radius, claimed, time.perf_counter() - round_start, hist))
+            if labeled_count >= target_labeled or n - labeled_count < cfg.min_unlabeled:
+                break
+        t5 = time.perf_counter()
+        timings["extraction_s"] = t5 - t4
 
-    if np.any(labels == 0):
-        labels = propagate_labels(tree, labels)
-    timings["propagation_s"] = time.perf_counter() - t5
-    timings["total_s"] = time.perf_counter() - t0
-
-    return ClusterModel(
-        labels=labels,
-        m=len(rounds),
-        rounds=rounds,
-        timings=timings,
-        density=density,
-        raw_tree=raw_tree,
-        tree=tree,
-    )
+        if np.any(labels == 0):
+            labels = propagate_labels(tree, labels)
+        end = time.perf_counter()
+        timings["propagation_s"] = end - t5
+        timings["total_s"] = end - start
+        models.append(ClusterModel(labels, len(rounds), rounds, timings, density, raw_tree, tree))
+        start, timings = end, {"density_s": 0.0, "mst_s": 0.0}
+    return models

@@ -411,7 +411,8 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
     twice the vertices' diameter, keeps a row with component T's slab on T's
     vertices.
     """
-    members = np.argsort(comp, kind="stable")  # grouped by component, ids ascending
+    n = len(comp)
+    members = np.argsort(comp * n + np.arange(n))  # grouped by component, ids ascending
     first = np.flatnonzero(np.append(True, comp[members][1:] != comp[members][:-1]))
     sizes = np.diff(np.append(first, len(members)))
     count = len(first)

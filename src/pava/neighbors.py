@@ -24,13 +24,15 @@ MATRIX_BLOCK_ROWS = 256
 
 
 def query_workers() -> int:
-    """Worker count for parallel tree queries; PAVA_THREADS caps it (0 = auto, non-integer = error)."""
+    """Worker count for parallel tree queries: PAVA_THREADS, at most the CPUs
+    this process may use (0 or negative = auto, non-integer = error)."""
     raw = os.environ.get("PAVA_THREADS") or "0"
     try:
         threads = int(raw)
     except ValueError:
         raise ValueError(f"PAVA_THREADS must be an integer, got {raw!r}") from None
-    return -1 if threads <= 0 else threads
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return -1 if threads <= 0 else min(threads, cpus or 1)
 
 
 @dataclass(frozen=True)
@@ -100,18 +102,25 @@ def k_distance_all(src, k: int, k_graph: int | None = None):
     n = src.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be < N (k={k}, N={n})")
-    # Self is at distance 0, no other distance is smaller, so the (k+1)-th
-    # smallest distance with self equals the k-th smallest without it.
     if isinstance(src, DissimilarityMatrix):
-        kdist, ksum, lists = np.empty(n), np.empty(n), None
-        for start in range(0, n, MATRIX_BLOCK_ROWS):
-            rows = slice(start, start + MATRIX_BLOCK_ROWS)
-            nearest = np.sort(np.partition(src.values[rows], k, axis=1)[:, :k + 1], axis=1)
-            kdist[rows], ksum[rows] = nearest[:, k], nearest[:, 1:].sum(axis=1)
+        lists, dists = None, np.concatenate([
+            np.sort(np.partition(src.values[start:start + MATRIX_BLOCK_ROWS], k, axis=1)[:, :k + 1], axis=1)
+            for start in range(0, n, MATRIX_BLOCK_ROWS)])
     elif isinstance(src, PointSet):
         lists = nearest_lists(src, max(k, k_graph or 0) + 1)
-        kdist, ksum = lists[0][:, k], lists[0][:, 1:k + 1].sum(axis=1)
+        dists = lists[0]
     else:
         raise TypeError(f"unsupported source type {type(src).__name__}")
-    profile = DensityProfile(np.ascontiguousarray(kdist), k, ksum)
+    profile = read_profile(dists, k)
     return profile if k_graph is None else (profile, lists)
+
+
+def read_profile(dists, k: int) -> DensityProfile:
+    """The k-distances and k-sums of ascending distance lists whose column 0
+    is each object itself, of at least k + 1 columns.
+
+    Self is at distance 0, no other distance is smaller, so column k holds the
+    k-th smallest off-self distance. Columns 1..k are summed in order, so
+    lists of any width give the same bits.
+    """
+    return DensityProfile(np.ascontiguousarray(dists[:, k]), k, dists[:, 1:k + 1].sum(axis=1))

@@ -14,6 +14,7 @@ from pava.cli import _write_edges, main
 from pava.dataset import (
     PointSet,
     generate_synthetic,
+    load_labels_csv,
     load_points_csv,
     save_labels_csv,
     save_points_csv,
@@ -376,6 +377,7 @@ class TestSweep:
         pf, _ = moons_files
         runs = []
         monkeypatch.setattr("pava.cli.run", lambda *args: runs.append(args))
+        monkeypatch.setattr("pava.cli.sweep", lambda *args: runs.append(args))
         assert main(["sweep", str(pf), "--k-values", "5,700"]) == 2
         assert runs == []
         captured = capsys.readouterr()
@@ -387,6 +389,23 @@ class TestSweep:
         assert main(["sweep", str(pf), "--k-values", "6,7", "--repeats", "2"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 5  # header + 2 k values x 2 repeats
+
+    def test_repeats_keep_k_major_order(self, moons_files, capsys):
+        pf, lf = moons_files
+        assert main(["sweep", str(pf), "--k-values", "7,5,6", "--repeats", "2",
+                     "--labels-true", str(lf)]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        assert [(int(r[1]), int(r[2])) for r in rows] == [(7, 0), (7, 1), (5, 0), (5, 1), (6, 0), (6, 1)]
+        points, truth = load_points_csv(pf), load_labels_csv(lf).labels
+        for row in rows:
+            # The scores and M are those of the k's own run, and the phases
+            # fall within the row's runtime.
+            model = pava.run(points, pava.PavaConfig(k=int(row[1])))
+            assert float(row[5]) == pava.adjusted_rand_index(truth, model.labels)
+            assert int(row[7]) == model.m
+            runtime, *phases = map(float, row[8:])
+            assert sum(phases) <= runtime + 0.003  # each column rounds to 1 us
+        assert rows[0][4:8] == rows[1][4:8] and rows[2][4:8] == rows[3][4:8]
 
     def test_output_file(self, moons_files, tmp_path):
         pf, _ = moons_files

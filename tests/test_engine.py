@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy.spatial import cKDTree
 import pava.engine as engine_mod
 import pava.neighbors as neighbors_mod
 from pava.dataset import SHAPES, DissimilarityMatrix, PointSet, generate_synthetic
-from pava.engine import ClusterModel, PavaConfig, extract_cluster, run, select_center
+from pava.engine import ClusterModel, PavaConfig, extract_cluster, run, select_center, sweep
 from pava.metrics import adjusted_rand_index
 from pava.mstgraph import SpanningTree, adjust_weights, build_mst, forest_k_graph
 from pava.neighbors import default_k, k_distance_all
@@ -385,6 +386,110 @@ class TestRun:
             assert np.array_equal(b.labels, a.labels[perm])
             radii = [np.array([r.radius for r in m.rounds]).tobytes() for m in (a, b)]
             assert radii[0] == radii[1]
+
+
+def _blobs_3d(n=400, seed=12):
+    """Continuous 3-D points, which the certified forest builds the tree of."""
+    points, _ = generate_synthetic("blobs", n, seed=seed)
+    return PointSet(np.column_stack([points.coords, np.random.default_rng(seed).normal(size=n)]))
+
+
+def _lattice_with_copies(seed=5):
+    """Integer lattice points, many of them repeated, so distances tie everywhere."""
+    return PointSet(np.random.default_rng(seed).integers(0, 5, size=(300, 3)).astype(float))
+
+
+def _model_arrays(model):
+    """Every array a model holds, as bytes: labels, density, both trees and each
+    round's center, radius, claimed ids and histogram."""
+    arrays = [model.labels, model.density.kdist, model.density.ksum]
+    for tree in (model.raw_tree, model.tree):
+        arrays += [tree.edge_u, tree.edge_v, tree.edge_w]
+    for rnd in model.rounds:
+        arrays += [np.array([rnd.center]), np.array([rnd.radius]), rnd.claimed]
+        hist = rnd.histogram
+        if hist is not None:
+            arrays += [hist.bin_centers, hist.raw_freq, hist.shifted_freq, hist.smoothed_freq]
+    return [(a.dtype.str, a.shape, np.ascontiguousarray(a).tobytes()) for a in arrays]
+
+
+def _counting(calls, fn):
+    """fn, recording each call's arguments after the first in ``calls``."""
+    def wrapper(*args, **kwargs):
+        calls.append(args[1:])
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+class TestSweep:
+    @pytest.mark.parametrize("src", [
+        _blobs_3d(),
+        _lattice_with_copies(),
+        DissimilarityMatrix(euclidean_matrix(generate_synthetic("twomoons", 240, seed=3)[0].coords)),
+    ], ids=["blobs", "lattice-with-copies", "matrix"])
+    @pytest.mark.parametrize("use_adjusted", [True, False])
+    def test_each_model_equals_run(self, src, use_adjusted):
+        # k below, equal to and above the forest's k_graph (10 here), not in
+        # order, so the widest query's k is neither the first nor the last.
+        assert forest_k_graph(src.n) == 10
+        cfgs = [PavaConfig(k=k, use_adjusted=use_adjusted) for k in (10, 4, 13, None, 2)]
+        models = sweep(src, cfgs)
+        assert len(models) == len(cfgs)
+        for cfg, model in zip(cfgs, models):
+            alone = run(src, cfg)
+            assert model.density.k == alone.density.k
+            assert model.m == alone.m
+            assert _model_arrays(model) == _model_arrays(alone)
+        # One raw tree serves every config.
+        assert all(model.raw_tree is models[0].raw_tree for model in models)
+
+    def test_one_query_and_one_tree_per_call(self, monkeypatch):
+        points = _blobs_3d()
+        queries, trees, densities = [], [], []
+
+        class CountingTree(cKDTree):
+            def query(self, x, k, **kwargs):
+                queries.append(k)
+                return super().query(x, k, **kwargs)
+
+        monkeypatch.setattr(neighbors_mod, "build_index", lambda p: CountingTree(p.coords))
+        monkeypatch.setattr(engine_mod, "build_mst", _counting(trees, engine_mod.build_mst))
+        monkeypatch.setattr(engine_mod, "k_distance_all", _counting(densities, engine_mod.k_distance_all))
+        models = sweep(points, [PavaConfig(k=k) for k in (4, 7, 13, 10)])
+        assert queries == [14]  # max(13, k_graph) + 1 columns
+        assert len(trees) == 1
+        assert densities == [(13, 10)]
+        assert [m.density.k for m in models] == [4, 7, 13, 10]
+
+    def test_matrix_partitions_once_per_other_k(self, monkeypatch):
+        matrix = DissimilarityMatrix(euclidean_matrix(generate_synthetic("twomoons", 120, seed=4)[0].coords))
+        densities, trees = [], []
+        monkeypatch.setattr(engine_mod, "k_distance_all", _counting(densities, engine_mod.k_distance_all))
+        monkeypatch.setattr(engine_mod, "build_mst", _counting(trees, engine_mod.build_mst))
+        sweep(matrix, [PavaConfig(k=k) for k in (5, 9, 5)])
+        assert densities == [(9, 10), (5,), (5,)]
+        assert len(trees) == 1
+
+    def test_timings_share_the_call(self):
+        points = _blobs_3d()
+        start = time.perf_counter()
+        models = sweep(points, [PavaConfig(k=k) for k in (4, 6, 8)])
+        wall = time.perf_counter() - start
+        phases = ("density_s", "mst_s", "adjust_s", "order_s", "extraction_s", "propagation_s")
+        for model in models:
+            assert list(model.timings) == [*phases, "total_s"]
+            assert sum(model.timings[key] for key in phases) <= model.timings["total_s"]
+        assert models[0].timings["density_s"] > 0 and models[0].timings["mst_s"] > 0
+        assert all(m.timings["density_s"] == m.timings["mst_s"] == 0.0 for m in models[1:])
+        assert sum(m.timings["total_s"] for m in models) <= wall
+
+    def test_empty_config_list_and_bad_k(self):
+        points = _blobs_3d(n=60)
+        assert sweep(points, []) == []
+        with pytest.raises(ValueError, match="k must be < N"):
+            sweep(points, [PavaConfig(k=5), PavaConfig(k=60)])
+        with pytest.raises(TypeError, match="unsupported source type"):
+            sweep(points.coords, [PavaConfig()])
 
 
 class TestPavaConfig:

@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -62,6 +63,14 @@ class TestQueryWorkers:
         else:
             monkeypatch.setenv("PAVA_THREADS", value)
         assert query_workers() == workers
+
+    def test_capped_at_the_usable_cpus(self, monkeypatch):
+        # Only the returned count is checked: no query runs with it.
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        monkeypatch.setenv("PAVA_THREADS", str(cpus + 1))
+        assert query_workers() == cpus
+        monkeypatch.setenv("PAVA_THREADS", str(cpus))
+        assert query_workers() == cpus
 
     @pytest.mark.parametrize("value", ["abc", "2.5", "two"])
     def test_malformed_value_is_error(self, monkeypatch, value):
