@@ -167,11 +167,11 @@ def sweep(src, cfgs: list[PavaConfig]) -> list[ClusterModel]:
 
     k enters only through the density, so one neighbour query of the largest
     k's columns (and the certified forest's) serves every config's density and
-    the raw tree, and that one tree serves every config. A matrix, which has
-    no lists, partitions its rows again for each other config. The first
-    model's ``density_s`` and ``mst_s`` carry every density and the tree;
-    each model's ``total_s`` is its share of the call's wall time, so the
-    shares add up to it.
+    the raw tree, and that one tree serves every config. A matrix's rows are
+    partitioned once, at the largest k, and every smaller k is read off their
+    sorted prefix. The first model's ``density_s`` and ``mst_s`` carry every
+    density and the tree; each model's ``total_s`` is its share of the call's
+    wall time, so the shares add up to it.
     """
     if not isinstance(src, (PointSet, DissimilarityMatrix)):
         raise TypeError(f"unsupported source type {type(src).__name__}")
@@ -182,8 +182,7 @@ def sweep(src, cfgs: list[PavaConfig]) -> list[ClusterModel]:
     start = time.perf_counter()
     # One neighbour query serves every density and the tree's certified forest.
     widest, knn = k_distance_all(src, max(ks), forest_k_graph(n))
-    densities = [widest if k == widest.k else k_distance_all(src, k) if knn is None
-                 else read_profile(knn[0], k) for k in ks]
+    densities = [widest if k == widest.k else read_profile(knn[0], k) for k in ks]
     t1 = time.perf_counter()
     raw_tree = build_mst(src, knn)
     del knn

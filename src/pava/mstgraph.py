@@ -9,7 +9,8 @@ Borůvka rounds for other points), the unique tree path realizes that
 minimum. A tree's Kruskal dendrogram leaf order, read lazily, puts the
 minmax distance between the leaves at positions i < j at max(gap[i:j])
 (Gower & Ross 1969), so a center's distances to every object take two
-prefix-maximum scans.
+prefix-maximum scans. Connectivity is checked once per edge set: by the
+constructor, or for the builders' trees while their order is read.
 
 Ties resolve by one key order: edges by (w, min(u, v), max(u, v)), points by
 their coordinates, centers by (k-distance, k-sum, id), and rows equal on every
@@ -48,7 +49,10 @@ _SLACK = 1e-9
 class SpanningTree:
     """Spanning tree over n vertices: n-1 weighted edges. Their dendrogram leaf
     ``order``, its inverse ``rank``, and ``gap[i]``, the merge weight between
-    leaves ``order[i]`` and ``order[i + 1]``, are computed on first read."""
+    leaves ``order[i]`` and ``order[i + 1]``, are computed on first read.
+
+    The constructor also checks that the edges connect every vertex; the
+    builders' trees (``_spanning``) leave that to the reading of their order."""
 
     n: int
     edge_u: np.ndarray
@@ -57,6 +61,11 @@ class SpanningTree:
     kind: str = "raw"
 
     def __post_init__(self):
+        self._check()
+        if len(_knn_forest(self.n, self.edge_u, self.edge_v)[0]) < self.n - 1:
+            raise ValueError("edges do not form a connected tree")
+
+    def _check(self):
         edge_u = np.asarray(self.edge_u, dtype=np.int64)
         edge_v = np.asarray(self.edge_v, dtype=np.int64)
         edge_w = np.asarray(self.edge_w, dtype=np.float64)
@@ -70,11 +79,17 @@ class SpanningTree:
             raise ValueError("edge weights must be finite and non-negative")
         if self.kind not in ("raw", "adjusted"):
             raise ValueError(f"unknown tree kind {self.kind!r}")
-        if len(_knn_forest(self.n, edge_u, edge_v)[0]) < self.n - 1:
-            raise ValueError("edges do not form a connected tree")
         object.__setattr__(self, "edge_u", edge_u)
         object.__setattr__(self, "edge_v", edge_v)
         object.__setattr__(self, "edge_w", edge_w)
+
+    @classmethod
+    def _spanning(cls, n, edge_u, edge_v, edge_w, kind):
+        """The tree of a builder's edges, which span by construction."""
+        tree = object.__new__(cls)
+        vars(tree).update(n=n, edge_u=edge_u, edge_v=edge_v, edge_w=edge_w, kind=kind)
+        tree._check()
+        return tree
 
     @cached_property
     def _leaves(self):
@@ -173,7 +188,10 @@ def _distances(x, u, v):
     formula that weights every point-set edge. A distance whose square
     overflows is inf, which the tree's builders refuse."""
     with np.errstate(over="ignore"):
-        return np.sqrt(((x[u] - x[v]) ** 2).sum(axis=1))
+        d = np.take(x, u, axis=0)
+        d -= np.take(x, v, axis=0)
+        d *= d
+        return np.sqrt(d.sum(axis=1))
 
 
 def _kruskal_candidates(p: PointSet, knn) -> SpanningTree:
@@ -204,7 +222,7 @@ def _kruskal_candidates(p: PointSet, knn) -> SpanningTree:
     if np.isinf(w).any():
         raise ValueError("squared distances between the points overflow")
     by_key = key_order(v, u, w)
-    return SpanningTree(p.n, u[by_key], v[by_key], w[by_key], "raw")
+    return SpanningTree._spanning(p.n, u[by_key], v[by_key], w[by_key], "raw")
 
 
 def _certified_tree(x, names, knn):
@@ -287,7 +305,7 @@ def _prim_exact(src) -> SpanningTree:
         edge_u[i], edge_v[i], edge_w[i] = parent[u], u, best[u]
     low, high = np.minimum(edge_u, edge_v), np.maximum(edge_u, edge_v)
     ranked = key_order(high, low, edge_w)
-    return SpanningTree(n, low[ranked], high[ranked], edge_w[ranked], "raw")
+    return SpanningTree._spanning(n, low[ranked], high[ranked], edge_w[ranked], "raw")
 
 
 def forest_k_graph(n: int) -> int:
@@ -302,17 +320,19 @@ def _dendrogram_order(n: int, edge_u, edge_v, edge_w):
     link = list(range(n))  # union-find links; a root is its component's smallest id
     head, tail = list(range(n)), list(range(n))
     next_leaf, gap_after = [0] * n, [0.0] * n
-    us, vs, ws = edge_u.tolist(), edge_v.tolist(), edge_w.tolist()
-    for i in key_order(edge_v, edge_u, edge_w).tolist():
-        a, b = us[i], vs[i]
+    by_key = key_order(edge_v, edge_u, edge_w)
+    for a, b, w in zip(edge_u[by_key].tolist(), edge_v[by_key].tolist(), edge_w[by_key].tolist()):
         while link[a] != a:
             link[a] = a = link[link[a]]
         while link[b] != b:
             link[b] = b = link[link[b]]
-        next_leaf[tail[a]], gap_after[tail[a]] = head[b], ws[i]
-        root = min(a, b)
-        link[a] = link[b] = root
-        head[root], tail[root] = head[a], tail[b]
+        if a == b:  # n - 1 edges without a cycle span the n vertices
+            raise ValueError("edges do not form a connected tree")
+        next_leaf[tail[a]], gap_after[tail[a]] = head[b], w
+        if a < b:
+            link[b], tail[a] = a, tail[b]
+        else:
+            link[a], head[b] = b, head[a]
     order = [head[0]]
     for _ in range(n - 1):
         order.append(next_leaf[order[-1]])
@@ -593,7 +613,7 @@ def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:
     if big.any():
         c = np.cbrt(kdist)
         new_w[big] = np.cbrt(w[big]) * (c[u[big]] * c[v[big]])
-    return SpanningTree(tree.n, u, v, new_w, "adjusted")
+    return SpanningTree._spanning(tree.n, u, v, new_w, "adjusted")
 
 
 def minmax_from_center(tree: SpanningTree, center: int):

@@ -96,16 +96,18 @@ def k_distance_all(src, k: int, k_graph: int | None = None):
     the call returns ``(profile, lists)``. For a PointSet the one query asks
     for max(k, k_graph) + 1 neighbours and ``lists`` is ``nearest_lists``'
     (dists, idx), from which the tree takes its candidate edges; the
-    k-distances are the same values. A matrix's tree needs no lists, so its
-    ``lists`` is None.
+    k-distances are the same values. A matrix's tree needs no neighbour ids,
+    so its ``lists`` are (dists, None): each row's k + 1 smallest values,
+    ascending, from which ``read_profile`` reads every smaller k.
     """
     n = src.n
     if not 1 <= k <= n - 1:
         raise ValueError(f"k must be < N (k={k}, N={n})")
     if isinstance(src, DissimilarityMatrix):
-        lists, dists = None, np.concatenate([
+        dists = np.concatenate([
             np.sort(np.partition(src.values[start:start + MATRIX_BLOCK_ROWS], k, axis=1)[:, :k + 1], axis=1)
             for start in range(0, n, MATRIX_BLOCK_ROWS)])
+        lists = dists, None
     elif isinstance(src, PointSet):
         lists = nearest_lists(src, max(k, k_graph or 0) + 1)
         dists = lists[0]

@@ -274,6 +274,36 @@ def minmax_by_id(tree, source: int) -> np.ndarray:
     return dist
 
 
+def dendrogram_order_reference(n: int, edge_u, edge_v, edge_w):
+    """Dendrogram leaf order by a plain Kruskal loop over the tree's edges in
+    (w, u, v) order: each edge is read through that permutation, and both
+    roots link to the smaller one at each merge. The input must be a tree.
+    Returns (order, rank, gap)."""
+    from pava.mstgraph import key_order
+
+    link = list(range(n))  # union-find links; a root is its component's smallest id
+    head, tail = list(range(n)), list(range(n))
+    next_leaf, gap_after = [0] * n, [0.0] * n
+    us, vs, ws = edge_u.tolist(), edge_v.tolist(), edge_w.tolist()
+    for i in key_order(edge_v, edge_u, edge_w).tolist():
+        a, b = us[i], vs[i]
+        while link[a] != a:
+            link[a] = a = link[link[a]]
+        while link[b] != b:
+            link[b] = b = link[link[b]]
+        next_leaf[tail[a]], gap_after[tail[a]] = head[b], ws[i]
+        root = min(a, b)
+        link[a] = link[b] = root
+        head[root], tail[root] = head[a], tail[b]
+    order = [head[0]]
+    for _ in range(n - 1):
+        order.append(next_leaf[order[-1]])
+    order = np.array(order, dtype=np.int64)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return order, rank, np.array(gap_after)[order[:-1]]
+
+
 def claim_reference(tree, center: int, labeled, trim_percentile: float, bins: int,
                     smooth_window: int):
     """One extraction round by id, as the engine ran it before it worked in

@@ -461,13 +461,15 @@ class TestSweep:
         assert densities == [(13, 10)]
         assert [m.density.k for m in models] == [4, 7, 13, 10]
 
-    def test_matrix_partitions_once_per_other_k(self, monkeypatch):
+    def test_matrix_partitions_once(self, monkeypatch):
+        # The rows are partitioned at the largest k; each smaller k is read
+        # off the sorted prefix (TestSweep::test_each_model_equals_run pins the bits).
         matrix = DissimilarityMatrix(euclidean_matrix(generate_synthetic("twomoons", 120, seed=4)[0].coords))
         densities, trees = [], []
         monkeypatch.setattr(engine_mod, "k_distance_all", _counting(densities, engine_mod.k_distance_all))
         monkeypatch.setattr(engine_mod, "build_mst", _counting(trees, engine_mod.build_mst))
         sweep(matrix, [PavaConfig(k=k) for k in (5, 9, 5)])
-        assert densities == [(9, 10), (5,), (5,)]
+        assert densities == [(9, 10)]
         assert len(trees) == 1
 
     def test_timings_share_the_call(self):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import signal
+import warnings
 from contextlib import contextmanager
 from unittest import mock
 
@@ -26,6 +27,7 @@ from pava.neighbors import DensityProfile, nearest_lists
 
 from oracles import (
     canonical_mst,
+    dendrogram_order_reference,
     euclidean_matrix,
     kruskal_forest_reference,
     kruskal_mst_total,
@@ -446,7 +448,7 @@ class TestBuildMst:
     @settings(max_examples=60, deadline=None)
     def test_tree_spans_degenerate_input(self, src):
         with _time_bound():
-            tree = build_mst(src)  # SpanningTree rejects a non-spanning edge set
+            tree = build_mst(src)  # equal to the canonical tree edge for edge, so it spans
         _assert_edges(tree, canonical_mst(src))
 
 
@@ -595,6 +597,27 @@ class TestAdjustWeights:
         assert np.array_equal(adj.edge_u, tree.edge_u)
         assert np.array_equal(adj.edge_v, tree.edge_v)
 
+    def test_reuses_the_raw_tree_edges(self, monkeypatch):
+        # The adjusted tree shares the raw tree's edge arrays, which the raw
+        # tree's builder made spanning, so neither adjusting nor reading the
+        # order runs the connectivity pass again.
+        p = PointSet(np.random.default_rng(7).normal(size=(300, 2)))
+        raw = build_mst(p)
+        calls = []
+        knn_forest = mstgraph._knn_forest
+
+        def spy(*args):
+            calls.append(args[0])
+            return knn_forest(*args)
+
+        monkeypatch.setattr(mstgraph, "_knn_forest", spy)
+        from pava.neighbors import k_distance_all
+        adj = adjust_weights(raw, k_distance_all(p, 5))
+        adj.order
+        assert np.shares_memory(adj.edge_u, raw.edge_u)
+        assert np.shares_memory(adj.edge_v, raw.edge_v)
+        assert calls == []
+
     def test_duplicate_points_keep_positive_weights(self):
         # two exact duplicates give kdist 0; the floor keeps other edges positive
         p = PointSet(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]))
@@ -732,6 +755,87 @@ class TestPropagateLabels:
                 best = dists.min()
                 candidates = labels[seeds[dists == best]]
                 assert got[v] == candidates.min()
+
+
+@st.composite
+def _shuffled_trees(draw):
+    """A tree of 2 to 60 vertices, random, a star or a chain, on shuffled ids,
+    its rows shuffled and their ends flipped at random, its weights from a
+    few values (many ties) or continuous."""
+    n = draw(st.integers(min_value=2, max_value=60))
+    shape = draw(st.sampled_from(["random", "star", "chain"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "random":
+        parents = [int(rng.integers(0, v)) for v in range(1, n)]
+    else:
+        parents = [0] * (n - 1) if shape == "star" else list(range(n - 1))
+    ids = rng.permutation(n)
+    u, v = ids[parents], ids[1:]
+    flip = rng.random(n - 1) < 0.5
+    u, v = np.where(flip, v, u), np.where(flip, u, v)
+    if draw(st.booleans()):
+        w = rng.integers(0, draw(st.integers(1, 3)), n - 1).astype(float)
+    else:
+        w = rng.uniform(0.0, 1.0, n - 1)
+    rows = rng.permutation(n - 1)
+    return n, u[rows], v[rows], w[rows]
+
+
+class TestDendrogramOrder:
+    @given(_shuffled_trees())
+    @settings(max_examples=200, deadline=None)
+    @example((2, np.array([1]), np.array([0]), np.array([0.0])))
+    def test_matches_the_reference_loop(self, case):
+        n, u, v, w = case
+        for tree in (SpanningTree(n, u, v, w), SpanningTree._spanning(n, u, v, w, "raw")):
+            want = dendrogram_order_reference(n, tree.edge_u, tree.edge_v, tree.edge_w)
+            for got, ref in zip((tree.order, tree.rank, tree.gap), want):
+                assert got.dtype == ref.dtype
+                assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("u, v", [([0, 1, 2], [1, 0, 3]), ([0, 1, 0], [1, 2, 2])])
+    def test_builder_path_refuses_a_cycle_when_read(self, u, v):
+        # A doubled edge, or a triangle beside a lone vertex: n - 1 edges
+        # that do not span. The builders' path skips the constructor's pass,
+        # and reading the order still refuses them.
+        tree = SpanningTree._spanning(4, np.array(u), np.array(v), np.ones(3), "raw")
+        with pytest.raises(ValueError, match="connected"):
+            tree.order
+
+
+def _distances_reference(x, u, v):
+    with np.errstate(over="ignore"):
+        return np.sqrt(((x[u] - x[v]) ** 2).sum(axis=1))
+
+
+class TestDistances:
+    """``_distances`` gives the bits of the plain formula. numpy sums rows of
+    8 or more values pairwise, so those widths are pinned too."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 16, 33])
+    @pytest.mark.parametrize("scale", [1.0, 1e154, 1e-170])
+    def test_bits_match_the_formula(self, dim, scale):
+        rng = np.random.default_rng(dim)
+        x = rng.normal(size=(50, dim)) * scale
+        if scale > 1:
+            # Half the points on the far side: squares of their gaps overflow.
+            x[::2] = np.abs(x[::2]) + scale
+            x[1::2] = -np.abs(x[1::2]) - scale
+        x[::5] = x[0]  # repeated points
+        u, v = rng.integers(0, 50, (2, 400))
+        u[:20] = v[:20]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mstgraph._distances(x, u, v)
+        want = _distances_reference(x, u, v)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        if scale > 1:
+            assert np.isinf(got).any() and np.isfinite(got).any()
+            with pytest.raises(ValueError, match="overflow"):
+                build_mst(PointSet(x))
+        if scale < 1:
+            assert not got.any()  # even distinct points: their squares underflow
 
 
 class TestSpanningTreeInvariants:

@@ -179,10 +179,12 @@ class TestKDistanceAll:
             assert np.array_equal(idx[:, 0], np.arange(80))
             assert np.array_equal(dists, ref[np.arange(80)[:, None], idx])
             assert np.array_equal(dists, np.sort(ref, axis=1)[:, :max(k, k_graph) + 1])
-            # A matrix gets the exact tree, so it has no lists to share.
-            profile, lists = k_distance_all(DissimilarityMatrix(ref), k, k_graph)
+            # A matrix gets the exact tree, so its lists are the sorted row
+            # prefixes its k-distances came from, without ids.
+            profile, (dists, idx) = k_distance_all(DissimilarityMatrix(ref), k, k_graph)
             assert np.array_equal(profile.kdist, k_distance_all(DissimilarityMatrix(ref), k).kdist)
-            assert lists is None
+            assert np.array_equal(dists, np.sort(ref, axis=1)[:, :k + 1])
+            assert idx is None
 
     def test_independent_of_worker_count(self, monkeypatch):
         rng = np.random.default_rng(27)
