@@ -427,9 +427,10 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
       then certified, so the blocks at least halve each round.
 
     Each step sends all its query rows to one kd-tree over every vertex in
-    one call. Its slab coordinate, the component's index times more than
-    twice the vertices' diameter, keeps a row with component T's slab on T's
-    vertices.
+    one call; both kd-trees are built with sliding-midpoint splits, as in
+    ``build_index``. The slab coordinate, the component's index times more
+    than twice the vertices' diameter, keeps a row with component T's slab on
+    T's vertices.
     """
     n = len(comp)
     members = np.argsort(comp * n + np.arange(n))  # grouped by component, ids ascending
@@ -446,7 +447,7 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
     # and distances too small to square round as in ``_distances``.
     scale = max(np.frexp((hi.max(axis=0) - lo.min(axis=0)).max())[1], 0)
     spacing = 2 * np.sqrt(x.shape[1]) + 1
-    sites = cKDTree(np.column_stack([np.ldexp(x, -scale), which * spacing]))
+    sites = cKDTree(np.column_stack([np.ldexp(x, -scale), which * spacing]), balanced_tree=False)
 
     def slab(a, t):
         """Query rows of vertices a on the slabs of components t."""
@@ -476,7 +477,7 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
     # half[S] + half[T] + r, half being half the box's diagonal.
     centre, half = (lo + hi) / 2, np.sqrt(((hi - lo) ** 2).sum(axis=1)) / 2
     scaled = np.ldexp(centre, -scale)
-    boxes = cKDTree(scaled)
+    boxes = cKDTree(scaled, balanced_tree=False)
     # Each component's 16 nearest other components by their centres.
     near = boxes.query(scaled, k=min(count, 17))[1]
     cross = which[cand_u] != which[cand_v]

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from pava import neighbors
 from pava.dataset import DissimilarityMatrix, PointSet
-from pava.neighbors import build_index, default_k, k_distance_all, query_workers
+from pava.neighbors import build_index, default_k, k_distance_all, nearest_lists, query_workers
 
 from oracles import brute_knn, euclidean_matrix, kdist_bruteforce, ksum_bruteforce
 
@@ -39,6 +40,97 @@ class TestBuildIndex:
         dists, nbrs = build_index(p).query(p.coords[0], k=2)
         assert dists.tolist() == [0.0, 0.0]
         assert set(nbrs.tolist()) == {0, 1}
+
+
+def _knn_inputs():
+    """(name, coords) per dimension: random points, an integer lattice (every
+    distance ties with many others) and repeated points."""
+    rng = np.random.default_rng(41)
+    for d in (1, 2, 3, 8):
+        side = {1: 300, 2: 17, 3: 7, 8: 2}[d]
+        grid = np.stack(np.meshgrid(*[np.arange(side)] * d, indexing="ij"), axis=-1).reshape(-1, d)
+        for name, coords in (("random", rng.normal(size=(300, d))),
+                             ("lattice", rng.permutation(grid)[:300].astype(float)),
+                             ("repeated", rng.normal(size=(25, d))[rng.integers(0, 25, 250)])):
+            yield pytest.param(name, coords, id=f"{name}-{d}d")
+
+
+def _check_lists(coords, count, dists, idx):
+    """``nearest_lists``' (dists, idx) against the kd-tree query of every
+    column with default (median) splits in input row order."""
+    n = len(coords)
+    ref_d, ref_i = cKDTree(coords).query(coords, k=count)
+    assert dists.tobytes() == ref_d.tobytes()
+    assert np.array_equal(idx[:, 0], np.arange(n))
+    all_d, all_i = cKDTree(coords).query(coords, k=n)
+    for r in range(n):
+        assert len(set(idx[r].tolist())) == count
+        # Each run of equal distances holds the reference's ids; the run that
+        # reaches the last column may hold any of the ids at that distance.
+        bounds = np.flatnonzero(np.diff(np.concatenate(([-1.0], dists[r], [np.inf]))))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            tied = all_i[r, all_d[r] == dists[r, a]]
+            if b < count or len(tied) == b - a:
+                assert sorted(idx[r, a:b].tolist()) == sorted(tied.tolist())
+            else:
+                assert set(idx[r, a:b].tolist()) <= set(tied.tolist())
+
+
+class TestNearestLists:
+    @pytest.mark.parametrize("name, coords", list(_knn_inputs()))
+    def test_matches_the_reference_query(self, name, coords):
+        for count in (2, 6, 12):
+            dists, idx = nearest_lists(PointSet(coords), count)
+            _check_lists(coords, count, dists, idx)
+            for r in range(0, len(coords), 37):
+                ref_d, _ = brute_knn(coords, coords[r], count)
+                if name != "lattice" and coords.shape[1] == 8:
+                    # The tree sums eight squares in another order than numpy;
+                    # on the lattice every sum is an exact integer.
+                    assert np.allclose(dists[r], ref_d, rtol=1e-14, atol=0)
+                else:
+                    assert dists[r].tobytes() == ref_d.tobytes()
+
+    @pytest.mark.parametrize("name, coords", list(_knn_inputs()))
+    def test_independent_of_worker_count(self, monkeypatch, name, coords):
+        lists = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PAVA_THREADS", threads)
+            lists.append(nearest_lists(PointSet(coords), 9))
+        assert lists[0][0].tobytes() == lists[1][0].tobytes()
+        assert lists[0][1].tobytes() == lists[1][1].tobytes()
+
+    def test_queries_once_in_leaf_order(self, monkeypatch):
+        coords = np.random.default_rng(43).normal(size=(400, 3))
+        builds, trees, calls = [], [], []
+
+        class SpyTree(cKDTree):
+            def __init__(self, data, **kwargs):
+                trees.append(kwargs)
+                super().__init__(data, **kwargs)
+
+            def query(self, x, k, **kwargs):
+                calls.append((self, np.array(x), k))
+                return super().query(x, k, **kwargs)
+
+        def counting_build(p):
+            builds.append(p)
+            return build_index(p)
+
+        monkeypatch.setattr(neighbors, "cKDTree", SpyTree)
+        monkeypatch.setattr(neighbors, "build_index", counting_build)
+        dists, idx = nearest_lists(PointSet(coords), 8)
+        monkeypatch.undo()
+        assert len(builds) == 1 and trees == [{"balanced_tree": False}]
+        [(tree, rows, k)] = calls
+        assert k == 8
+        assert not np.array_equal(tree.indices, np.arange(400))
+        assert rows.tobytes() == coords[tree.indices].tobytes()
+        # Back in input row order: continuous coordinates leave no ties, so
+        # the ids too equal the query in row order.
+        ref_d, ref_i = cKDTree(coords).query(coords, k=8)
+        assert dists.tobytes() == ref_d.tobytes()
+        assert np.array_equal(idx, ref_i)
 
 
 class TestDefaultK:
