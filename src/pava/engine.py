@@ -14,8 +14,11 @@ are two ascending runs outward from its position, the percentile and the
 histogram are read off those runs, and the claimed objects fill one interval
 of positions. The centers come off one order shared by all rounds (k-distance,
 then the sum of the k nearest distances, then id), and a running mask tracks
-what is labeled. Apart from the two scans, only a degenerate round, which
-claims everything left, does O(N) work.
+what is labeled. The two runs come off run tables built with the tree's
+order: each scans at most ``RUN_BLOCK`` gaps and one maximum per later block
+one by one, and fills its other positions with one vectorised maximum. That
+fill is a round's one pass over all N positions; a degenerate round, which
+claims everything left, also writes every unlabeled id.
 """
 
 from __future__ import annotations
@@ -48,6 +51,11 @@ from .valley import (
     first_valley_radius,
     smooth_profile,
 )
+
+
+# The center's own distance, the first run of every round.
+_CENTER = np.zeros(1)
+_CENTER.flags.writeable = False
 
 
 @dataclass
@@ -140,7 +148,7 @@ def extract_cluster(tree: SpanningTree, center: int, cfg: PavaConfig, labeled: n
     if labeled[center]:
         raise ValueError(f"center {center} is already labeled")
     position, left, right = minmax_from_center(tree, center)
-    runs = (np.zeros(1), left, right)
+    runs = (_CENTER, left, right)
     retained = cap_percentile(runs, cfg.trim_percentile)
     try:
         hist = smooth_profile(build_histogram(retained, cfg.bins), cfg.smooth_window)

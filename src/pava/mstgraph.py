@@ -8,9 +8,14 @@ chain for 1-D points, a certified kNN forest whose components are joined in
 Borůvka rounds for other points), the unique tree path realizes that
 minimum. A tree's Kruskal dendrogram leaf order, read lazily, puts the
 minmax distance between the leaves at positions i < j at max(gap[i:j])
-(Gower & Ross 1969), so a center's distances to every object take two
-prefix-maximum scans. Connectivity is checked once per edge set: by the
-constructor, or for the builders' trees while their order is read.
+(Gower & Ross 1969), so a center's distances to every object are the prefix
+maxima of the gaps outward from its position. The order comes with a table of
+those prefix maxima within blocks of ``RUN_BLOCK`` gaps, one per direction,
+and each block's maximum (a two-level range-maximum split, as in Bender &
+Farach-Colton 2000). A round then scans at most ``RUN_BLOCK`` gaps and one
+maximum per later block, and fills the rest of both runs with one vectorised
+maximum. Connectivity is checked once per edge set: by the constructor, or
+for the builders' trees while their order is read.
 
 Ties resolve by one key order: edges by (w, min(u, v), max(u, v)), points by
 their coordinates, centers by (k-distance, k-sum, id), and rows equal on every
@@ -44,12 +49,18 @@ KDIST_FLOOR_REL = 1e-12
 # Relative margin far above the rounding between two computations of a distance.
 _SLACK = 1e-9
 
+# Gaps per block of a tree's run table: a round scans at most this many gaps
+# one by one, and then one maximum per later block.
+RUN_BLOCK = 64
+
 
 @dataclass(frozen=True, eq=False)
 class SpanningTree:
     """Spanning tree over n vertices: n-1 weighted edges. Their dendrogram leaf
     ``order``, its inverse ``rank``, and ``gap[i]``, the merge weight between
-    leaves ``order[i]`` and ``order[i + 1]``, are computed on first read.
+    leaves ``order[i]`` and ``order[i + 1]``, are computed on first read,
+    together with the block tables of ``gap`` and of its reverse that
+    ``minmax_from_center`` reads.
 
     The constructor also checks that the edges connect every vertex; the
     builders' trees (``_spanning``) leave that to the reading of their order."""
@@ -93,7 +104,8 @@ class SpanningTree:
 
     @cached_property
     def _leaves(self):
-        return _dendrogram_order(self.n, self.edge_u, self.edge_v, self.edge_w)
+        order, rank, gap = _dendrogram_order(self.n, self.edge_u, self.edge_v, self.edge_w)
+        return order, rank, gap, _run_table(gap), _run_table(gap[::-1])
 
     order = property(lambda self: self._leaves[0])
     rank = property(lambda self: self._leaves[1])
@@ -319,16 +331,17 @@ def _dendrogram_order(n: int, edge_u, edge_v, edge_w):
     list of v's component to u's at each merge; returns (order, rank, gap)."""
     link = list(range(n))  # union-find links; a root is its component's smallest id
     head, tail = list(range(n)), list(range(n))
-    next_leaf, gap_after = [0] * n, [0.0] * n
+    next_leaf, split = [0] * n, []  # split: the leaf each merge's weight follows
     by_key = key_order(edge_v, edge_u, edge_w)
-    for a, b, w in zip(edge_u[by_key].tolist(), edge_v[by_key].tolist(), edge_w[by_key].tolist()):
+    for a, b in zip(edge_u[by_key].tolist(), edge_v[by_key].tolist()):
         while link[a] != a:
             link[a] = a = link[link[a]]
         while link[b] != b:
             link[b] = b = link[link[b]]
         if a == b:  # n - 1 edges without a cycle span the n vertices
             raise ValueError("edges do not form a connected tree")
-        next_leaf[tail[a]], gap_after[tail[a]] = head[b], w
+        split.append(tail[a])
+        next_leaf[tail[a]] = head[b]
         if a < b:
             link[b], tail[a] = a, tail[b]
         else:
@@ -339,7 +352,43 @@ def _dendrogram_order(n: int, edge_u, edge_v, edge_w):
     order = np.array(order, dtype=np.int64)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    return order, rank, np.array(gap_after)[order[:-1]]
+    gap_after = np.empty(n)
+    gap_after[split] = edge_w[by_key]
+    return order, rank, gap_after[order[:-1]]
+
+
+def _run_table(gap):
+    """Prefix maxima of ``gap`` within each block of ``RUN_BLOCK`` gaps, as
+    the rows of a (blocks, RUN_BLOCK) array whose last block is padded with
+    -inf, and each block's maximum, its row's last column."""
+    blocks = -(-len(gap) // RUN_BLOCK)
+    rows = np.full(blocks * RUN_BLOCK, -np.inf)
+    rows[:len(gap)] = gap
+    rows = np.maximum.accumulate(rows.reshape(blocks, RUN_BLOCK), axis=1)
+    return rows, rows[:, -1].copy()
+
+
+def _outward(gap, table, start):
+    """``np.maximum.accumulate(gap[start:])`` from ``gap``'s run table.
+
+    The gaps left in ``start``'s block are scanned. Every later value is the
+    larger of the maximum entering its block, from one scan over the head's
+    maximum and the block maxima between, and its block's prefix maximum.
+    Maxima are exact, so the values are the full scan's.
+    """
+    rows, tops = table
+    block = start // RUN_BLOCK
+    head = min((block + 1) * RUN_BLOCK, len(gap)) - start
+    later = rows[block + 1:]
+    out = np.empty(head + later.size)
+    if head > 0:
+        np.maximum.accumulate(gap[start:start + head], out=out[:head])
+        if later.size:
+            entering = tops[block:-1].copy()
+            entering[0] = out[head - 1]
+            np.maximum.accumulate(entering, out=entering)
+            np.maximum(entering[:, None], later, out=out[head:].reshape(-1, RUN_BLOCK))
+    return out[:len(gap) - start]
 
 
 def _knn_forest(n: int, cand_u, cand_v, cand_w=None, bound=None):
@@ -624,14 +673,19 @@ def minmax_from_center(tree: SpanningTree, center: int):
     Returns ``(position, left, right)``: the center sits at ``position`` of
     ``tree.order``, ``left[i]`` is the distance to the vertex at position
     ``position - 1 - i`` and ``right[j]`` the one to the vertex at
-    ``position + 1 + j``. Two prefix-maximum scans outward from the center
-    give both runs ascending; nothing is gathered by id.
+    ``position + 1 + j``. Both runs are the prefix maxima of the gaps outward
+    from the center, ascending, bit for bit those of
+    ``np.maximum.accumulate``; nothing is gathered by id. They are read off
+    the tree's run tables: a scan of at most ``RUN_BLOCK`` gaps and one of at
+    most ceil((n - 1) / RUN_BLOCK) block maxima per run, then one vectorised
+    maximum over the remaining positions.
     """
     if not 0 <= center < tree.n:
         raise ValueError(f"center {center} out of range [0, {tree.n})")
     r = int(tree.rank[center])
-    left = np.maximum.accumulate(tree.gap[:r][::-1])
-    right = np.maximum.accumulate(tree.gap[r:])
+    gap, forward, backward = tree._leaves[2:]
+    left = _outward(gap[::-1], backward, len(gap) - r)
+    right = _outward(gap, forward, r)
     return r, left, right
 
 

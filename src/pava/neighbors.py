@@ -100,7 +100,10 @@ def k_distance_all(src, k: int, k_graph: int | None = None):
     Ties are handled by taking the k-th smallest off-self distance, which is
     the unique value with at least k others no farther and at most k-1 strictly
     nearer. ``ksum`` adds the k smallest in ascending order, so a point set
-    and its matrix give it the same bits.
+    and its matrix of plain-formula distances give it the same bits below 8
+    dimensions. From 8 up they may differ in the last bits: cKDTree sums the
+    squared differences in four accumulators, each of which then takes two
+    or more of them, while the plain formula sums a row in another order.
 
     With ``k_graph`` (the neighbour count of the tree's certified kNN forest),
     the call returns ``(profile, lists)``. For a PointSet the one query asks

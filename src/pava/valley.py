@@ -17,7 +17,8 @@ last one closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,7 +83,9 @@ def cap_percentile(runs: tuple, p: float = DEFAULT_TRIM_PERCENTILE) -> tuple:
         raise TypeError(f"expected a tuple of ascending runs, got {type(runs).__name__}")
     if not 0.0 < p <= 100.0:
         raise ValueError(f"percentile must be in (0, 100], got {p}")
-    total = sum(run.size for run in runs)
+    total = 0
+    for run in runs:
+        total += run.size
     if total == 0:
         raise ValueError("empty distance vector")
     threshold = _linear_percentile(runs, total, p)
@@ -105,17 +108,21 @@ def build_histogram(runs: tuple, bins: int = DEFAULT_BINS) -> DistanceHistogram:
     runs = [run for run in runs if run.size]
     if not runs:
         raise ValueError("empty distance vector")
-    lo = min(float(run[0]) for run in runs)
-    hi = max(float(run[-1]) for run in runs)
+    lo = min([float(run[0]) for run in runs])
+    hi = max([float(run[-1]) for run in runs])
     if lo == hi:
         raise DegenerateHistogramError("all distances identical")
     edges = np.linspace(lo, hi, bins + 1)
     # A range only a few subnormals wide cannot hold `bins` distinct edges.
-    if np.any(np.diff(edges) <= 0):
+    if (edges[1:] - edges[:-1] <= 0).any():
         raise DegenerateHistogramError(f"distance range too narrow for {bins} bins")
-    below = sum(np.searchsorted(run, edges) for run in runs)  # values under each edge
-    below[-1] = sum(run.size for run in runs)
-    raw = np.diff(below)
+    below = np.searchsorted(runs[0], edges)  # values under each edge
+    total = runs[0].size
+    for run in runs[1:]:
+        below += np.searchsorted(run, edges)
+        total += run.size
+    below[-1] = total
+    raw = below[1:] - below[:-1]
     centers = (edges[:-1] + edges[1:]) / 2.0
     return DistanceHistogram(edges, centers, raw, raw - 1)
 
@@ -128,15 +135,25 @@ def smooth_profile(h: DistanceHistogram, window: int = DEFAULT_SMOOTH_WINDOW) ->
     """
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be a positive odd count, got {window}")
-    y = h.shifted_freq.astype(np.float64)
-    b = y.size
-    idx = np.arange(b)
-    half = np.minimum(np.minimum(idx, b - 1 - idx), (window - 1) // 2)
-    cum = np.concatenate([[0.0], np.cumsum(y)])
+    lo, hi, width = _window_bounds(h.shifted_freq.size, window)
+    cum = np.zeros(h.shifted_freq.size + 1)
+    np.cumsum(h.shifted_freq, dtype=np.float64, out=cum[1:])
+    smoothed = (cum[hi] - cum[lo]) / width
+    return DistanceHistogram(h.bin_edges, h.bin_centers, h.raw_freq, h.shifted_freq, smoothed, window)
+
+
+@lru_cache(maxsize=32)
+def _window_bounds(bins: int, window: int):
+    """Each bin's window [lo, hi) of ``smooth_profile`` and its width, as
+    read-only arrays shared by every profile of ``bins`` bins."""
+    idx = np.arange(bins)
+    half = np.minimum(np.minimum(idx, bins - 1 - idx), (window - 1) // 2)
     lo = idx - half
     hi = idx + half + 1
-    smoothed = (cum[hi] - cum[lo]) / (hi - lo)
-    return replace(h, smoothed_freq=smoothed, smooth_window=window)
+    width = hi - lo
+    for a in (lo, hi, width):
+        a.flags.writeable = False
+    return lo, hi, width
 
 
 def first_valley_radius(h: DistanceHistogram) -> float:
@@ -161,18 +178,20 @@ def first_valley_radius(h: DistanceHistogram) -> float:
     if h.smoothed_freq is None:
         raise ValueError("histogram has not been smoothed")
     sm = h.smoothed_freq
-    if np.any(sm < 0):
+    neg = sm < 0
+    if neg.any():
         min_run = (h.smooth_window + 1) // 2 if h.smooth_window else 1
-        neg = sm < 0
-        bounds = np.flatnonzero(np.diff(np.concatenate([[False], neg, [False]])))
+        padded = np.zeros(sm.size + 2, dtype=bool)  # False beyond both ends
+        padded[1:-1] = neg
+        bounds = np.flatnonzero(padded[1:] != padded[:-1]).tolist()
         positive = np.flatnonzero(sm > 0)
-        for start, stop in zip(bounds[::2], bounds[1::2]):  # runs are [start, stop)
-            if stop - start < min_run:
-                continue
-            if positive.size and positive[0] < start and positive[-1] >= stop:
-                empty = np.flatnonzero(h.raw_freq[start:stop] == 0)
-                cut = start + empty[-1] if empty.size else stop - 1
-                return float(h.bin_centers[cut])
+        if positive.size:
+            first, last = int(positive[0]), int(positive[-1])
+            for start, stop in zip(bounds[::2], bounds[1::2]):  # runs are [start, stop)
+                if stop - start >= min_run and first < start and last >= stop:
+                    empty = np.flatnonzero(h.raw_freq[start:stop] == 0)
+                    cut = start + empty[-1] if empty.size else stop - 1
+                    return float(h.bin_centers[cut])
         return h.max_distance * (1.0 + ENGULF_MARGIN)
     is_valley = sm[1:-1] <= np.minimum(sm[:-2], sm[2:])
     hits = np.flatnonzero(is_valley)

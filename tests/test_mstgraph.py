@@ -803,6 +803,84 @@ class TestDendrogramOrder:
             tree.order
 
 
+@st.composite
+def _run_table_trees(draw):
+    """A raw or adjusted tree whose n - 1 gaps fill fewer than one, exactly
+    one, or one and a bit of ``RUN_BLOCK``-gap blocks, or up to 300 vertices;
+    random, a star or a chain on shuffled ids; its weights continuous, from
+    {0, 1, 2}, or all zero."""
+    n = draw(st.sampled_from([2, 3, 64, 65, 66, 129]) | st.integers(min_value=2, max_value=300))
+    shape = draw(st.sampled_from(["random", "star", "chain"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "random":
+        parents = [int(rng.integers(0, v)) for v in range(1, n)]
+    else:
+        parents = [0] * (n - 1) if shape == "star" else list(range(n - 1))
+    ids = rng.permutation(n)
+    weights = draw(st.sampled_from(["continuous", "ties", "zero"]))
+    if weights == "continuous":
+        w = rng.uniform(0.0, 1.0, n - 1)
+    else:
+        w = rng.integers(0, 3 if weights == "ties" else 1, n - 1).astype(float)
+    tree = SpanningTree(n, ids[parents], ids[1:], w)
+    if draw(st.booleans()):
+        # k-distances with ties and zeros, floored like any other.
+        tree = adjust_weights(tree, _density(rng.integers(0, 3, n) * rng.uniform(0.5, 1.5), 1))
+    return tree
+
+
+class TestRunTable:
+    """``minmax_from_center`` reads its runs off the tree's block tables; they
+    are the plain prefix-maximum scans outward from the center, bit for bit."""
+
+    @given(_run_table_trees())
+    @settings(max_examples=150, deadline=None)
+    @example(SpanningTree(2, [0], [1], [0.0]))
+    def test_every_center_matches_the_full_scans(self, tree):
+        gap = tree.gap
+        for center in range(tree.n):
+            r, left, right = minmax_from_center(tree, center)
+            assert r == tree.rank[center]
+            for got, want in ((left, np.maximum.accumulate(gap[:r][::-1])),
+                              (right, np.maximum.accumulate(gap[r:]))):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 64, 65, 66, 129, 5000])
+    def test_a_round_scans_one_block_and_the_block_maxima(self, n):
+        # Once the tables are built with the order, no scan in a round reads
+        # more than one block's gaps or one maximum per block.
+        rng = np.random.default_rng(n)
+        ids = rng.permutation(n)
+        raw = SpanningTree(n, ids[:-1], ids[1:], rng.uniform(0, 1, n - 1))
+        tree = adjust_weights(raw, _density(rng.uniform(0.5, 1.5, n), 1))
+        built = []
+        table = mstgraph._run_table
+        with mock.patch.object(mstgraph, "_run_table", lambda gap: built.append(len(gap)) or table(gap)):
+            tree.order
+        assert built == [n - 1, n - 1]
+        scanned = []
+
+        class Maximum:
+            def __call__(self, *args, **kwargs):
+                return np.maximum(*args, **kwargs)
+
+            def accumulate(self, values, *args, **kwargs):
+                scanned.append(np.size(values))
+                return np.maximum.accumulate(values, *args, **kwargs)
+
+        class Numpy:
+            maximum = Maximum()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        with mock.patch.object(mstgraph, "_run_table", None), mock.patch.object(mstgraph, "np", Numpy()):
+            for center in range(0, n, max(1, n // 200)):
+                minmax_from_center(tree, center)
+        assert scanned and max(scanned) <= max(mstgraph.RUN_BLOCK, -(-(n - 1) // mstgraph.RUN_BLOCK))
+
+
 def _distances_reference(x, u, v):
     with np.errstate(over="ignore"):
         return np.sqrt(((x[u] - x[v]) ** 2).sum(axis=1))

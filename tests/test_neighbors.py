@@ -145,6 +145,10 @@ class TestDefaultK:
         assert default_k(2) == 1
 
 
+def _usable_cpus():
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
 class TestQueryWorkers:
     @pytest.mark.parametrize("value, workers", [
         (None, -1), ("", -1), ("0", -1), ("-3", -1), ("1", 1), ("2", 2),
@@ -154,11 +158,12 @@ class TestQueryWorkers:
             monkeypatch.delenv("PAVA_THREADS", raising=False)
         else:
             monkeypatch.setenv("PAVA_THREADS", value)
-        assert query_workers() == workers
+        # A positive count is capped at the CPUs this process may use.
+        assert query_workers() == min(workers, _usable_cpus())
 
     def test_capped_at_the_usable_cpus(self, monkeypatch):
         # Only the returned count is checked: no query runs with it.
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        cpus = _usable_cpus()
         monkeypatch.setenv("PAVA_THREADS", str(cpus + 1))
         assert query_workers() == cpus
         monkeypatch.setenv("PAVA_THREADS", str(cpus))
@@ -203,6 +208,17 @@ class TestKDistanceAll:
             from_points = k_distance_all(PointSet(coords), k)
             from_matrix = k_distance_all(matrix, k)
             assert np.array_equal(from_points.kdist, from_matrix.kdist)
+            assert from_points.ksum.tobytes() == from_matrix.ksum.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    def test_point_set_and_its_matrix_give_the_same_bits(self, dim):
+        # Below 8 dimensions cKDTree sums the squares in the plain formula's
+        # order; from 8 up the k-distances may differ in the last bits.
+        for seed in range(3):
+            coords = np.random.default_rng(seed).normal(size=(300, dim))
+            from_points = k_distance_all(PointSet(coords), 5)
+            from_matrix = k_distance_all(DissimilarityMatrix(euclidean_matrix(coords)), 5)
+            assert from_points.kdist.tobytes() == from_matrix.kdist.tobytes()
             assert from_points.ksum.tobytes() == from_matrix.ksum.tobytes()
 
     def test_matrix_k_distance_reads_row_blocks_in_place(self):

@@ -210,6 +210,24 @@ class TestSmoothProfile:
         for i in range(2, 48):
             assert sm[i] == pytest.approx(y[i - 2 : i + 3].sum() / 5.0, rel=1e-12)
 
+    def test_bits_match_the_prefix_sum_formula(self):
+        # The window bounds are cached per (bins, window); interleaved sizes
+        # must not share them, and the result must not alias the cache.
+        rng = np.random.default_rng(47)
+        for bins, window in ((64, 5), (200, 21), (64, 21), (7, 21), (200, 5), (64, 5)):
+            h = build_histogram(_runs(rng.uniform(0, 1, 400)), bins=bins)
+            got = smooth_profile(h, window)
+            idx = np.arange(bins)
+            half = np.minimum(np.minimum(idx, bins - 1 - idx), (window - 1) // 2)
+            cum = np.concatenate([[0.0], np.cumsum(h.shifted_freq.astype(np.float64))])
+            want = (cum[idx + half + 1] - cum[idx - half]) / (2 * half + 1)
+            assert got.smoothed_freq.tobytes() == want.tobytes()
+            assert got.smooth_window == window
+            assert got.raw_freq is h.raw_freq and got.bin_edges is h.bin_edges
+            assert h.smoothed_freq is None
+            got.smoothed_freq[:] = 0.0
+            assert smooth_profile(h, window).smoothed_freq.tobytes() == want.tobytes()
+
     def test_even_window_rejected(self):
         h = build_histogram(_runs(np.arange(5.0)), bins=5)
         with pytest.raises(ValueError, match="odd"):
@@ -231,6 +249,14 @@ class TestFirstValleyRadius:
     def test_plateau_rule_fires_at_second_bin(self):
         h = _hist_from_smoothed([5.0, 1.0, 1.0, 4.0, 6.0, 7.0])
         assert first_valley_radius(h) == h.bin_centers[1]
+
+    def test_sparse_run_of_half_a_window_is_a_valley(self):
+        # Window 5: a run of 3 sub-zero bins between mounds cuts at its last
+        # bin; a run of 2 is a dip inside a mound, and the next long run cuts.
+        h = _hist_from_smoothed([2.0, 2.0, -1.0, -1.0, -1.0, 2.0, 2.0])
+        assert first_valley_radius(h) == h.bin_centers[4]
+        h = _hist_from_smoothed([2.0, -1.0, -1.0, 2.0, -1.0, -1.0, -1.0, 2.0])
+        assert first_valley_radius(h) == h.bin_centers[6]
 
     def test_unsmoothed_histogram_rejected(self):
         h = build_histogram(_runs(np.arange(6.0)), bins=3)
