@@ -17,7 +17,7 @@ from .dataset import (
     load_points_csv,
 )
 from .engine import ClusterModel, ClusterRound, PavaConfig, extract_cluster, run, select_center, sweep
-from .metrics import ContingencyTable, adjusted_rand_index, pairwise_f_score, rand_index
+from .metrics import adjusted_rand_index, pairwise_f_score, rand_index
 from .mstgraph import SpanningTree, adjust_weights, build_mst, minmax_from_center, propagate_labels
 from .neighbors import DensityProfile, build_index, default_k, k_distance_all
 from .valley import (
@@ -32,7 +32,6 @@ from .valley import (
 __all__ = [
     "ClusterModel",
     "ClusterRound",
-    "ContingencyTable",
     "DegenerateHistogramError",
     "DensityProfile",
     "DissimilarityMatrix",

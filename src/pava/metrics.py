@@ -1,44 +1,12 @@
 """External clustering validity metrics: Rand index, adjusted Rand index, and
-pairwise F-score.
-
-All three count agreement over object pairs and are therefore invariant under
-relabeling of either partition. The fast paths work off the contingency table
-between the two partitions.
+pairwise F-score, each a function of the pair counts (TP, FP, FN, TN) over the
+n(n-1)/2 object pairs, and so invariant under relabeling of either partition.
+``_pair_counts`` reads them off two label vectors' contingency table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-def _as_labels(p) -> np.ndarray:
-    labels = getattr(p, "labels", p)
-    return np.asarray(labels)
-
-
-@dataclass(frozen=True, eq=False)
-class ContingencyTable:
-    """Co-occurrence counts between two partitions of the same n objects."""
-
-    counts: np.ndarray
-    row_marginals: np.ndarray
-    col_marginals: np.ndarray
-    n: int
-
-    @classmethod
-    def from_partitions(cls, a, b) -> "ContingencyTable":
-        a = _as_labels(a)
-        b = _as_labels(b)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError(f"partition lengths differ: {a.shape} vs {b.shape}")
-        _, ai = np.unique(a, return_inverse=True)
-        _, bi = np.unique(b, return_inverse=True)
-        m1 = int(ai.max()) + 1
-        m2 = int(bi.max()) + 1
-        counts = np.bincount(ai * m2 + bi, minlength=m1 * m2).reshape(m1, m2)
-        return cls(counts, counts.sum(axis=1), counts.sum(axis=0), int(a.size))
 
 
 def _choose2(x) -> np.ndarray:
@@ -46,20 +14,30 @@ def _choose2(x) -> np.ndarray:
     return x * (x - 1.0) / 2.0
 
 
-def _pair_counts(table: ContingencyTable):
-    """(TP, FP, FN, TN) over all object pairs, with partition a as reference."""
-    total = _choose2(table.n)
-    tp = _choose2(table.counts).sum()
-    fn = _choose2(table.row_marginals).sum() - tp
-    fp = _choose2(table.col_marginals).sum() - tp
+def _pair_counts(a, b):
+    """(TP, FP, FN, TN) over all object pairs of label vectors a and b, with
+    a as the reference: pairs together in both, in b only, in a only, and in
+    neither."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError(f"partition lengths differ: {a.shape} vs {b.shape}")
+    _, ai = np.unique(a, return_inverse=True)
+    _, bi = np.unique(b, return_inverse=True)
+    m1 = int(ai.max()) + 1
+    m2 = int(bi.max()) + 1
+    counts = np.bincount(ai * m2 + bi, minlength=m1 * m2).reshape(m1, m2)
+    total = _choose2(a.size)
+    tp = _choose2(counts).sum()
+    fn = _choose2(counts.sum(axis=1)).sum() - tp
+    fp = _choose2(counts.sum(axis=0)).sum() - tp
     tn = total - tp - fn - fp
     return tp, fp, fn, tn
 
 
 def rand_index(a, b) -> float:
     """Fraction of object pairs on which the two partitions agree."""
-    table = ContingencyTable.from_partitions(a, b)
-    tp, fp, fn, tn = _pair_counts(table)
+    tp, fp, fn, tn = _pair_counts(a, b)
     total = tp + fp + fn + tn
     if total == 0:
         return 1.0
@@ -67,12 +45,12 @@ def rand_index(a, b) -> float:
 
 
 def adjusted_rand_index(a, b) -> float:
-    """Rand index corrected for chance: 1 for identical partitions, ~0 at random."""
-    table = ContingencyTable.from_partitions(a, b)
-    sum_cells = _choose2(table.counts).sum()
-    sum_rows = _choose2(table.row_marginals).sum()
-    sum_cols = _choose2(table.col_marginals).sum()
-    total = _choose2(table.n)
+    """Rand index corrected for chance (Hubert & Arabie 1985): 1 for identical
+    partitions, ~0 at random."""
+    tp, fp, fn, tn = _pair_counts(a, b)
+    sum_rows = tp + fn  # pairs together in a
+    sum_cols = tp + fp  # pairs together in b
+    total = tp + fp + fn + tn
     if total == 0:
         return 1.0
     expected = sum_rows * sum_cols / total
@@ -83,13 +61,12 @@ def adjusted_rand_index(a, b) -> float:
     # cluster, so they are identical.
     if denom == 0:
         return 1.0
-    return float((sum_cells - expected) / denom)
+    return float((tp - expected) / denom)
 
 
 def pairwise_f_score(a, b) -> float:
     """F1 over same-cluster pairs, with partition a as the ground truth."""
-    table = ContingencyTable.from_partitions(a, b)
-    tp, fp, fn, _ = _pair_counts(table)
+    tp, fp, fn, _ = _pair_counts(a, b)
     denom = 2.0 * tp + fp + fn
     if denom == 0:
         return 1.0

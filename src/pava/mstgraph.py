@@ -14,8 +14,8 @@ those prefix maxima within blocks of ``RUN_BLOCK`` gaps, one per direction,
 and each block's maximum (a two-level range-maximum split, as in Bender &
 Farach-Colton 2000). A round then scans at most ``RUN_BLOCK`` gaps and one
 maximum per later block, and fills the rest of both runs with one vectorised
-maximum. Connectivity is checked once per edge set: by the constructor, or
-for the builders' trees while their order is read.
+maximum. Connectivity is checked once per edge set, while its order is
+read: at once by the constructor, lazily for the builders' trees.
 
 Ties resolve by one key order: edges by (w, min(u, v), max(u, v)), points by
 their coordinates, centers by (k-distance, k-sum, id), and rows equal on every
@@ -62,8 +62,8 @@ class SpanningTree:
     together with the block tables of ``gap`` and of its reverse that
     ``minmax_from_center`` reads.
 
-    The constructor also checks that the edges connect every vertex; the
-    builders' trees (``_spanning``) leave that to the reading of their order."""
+    The constructor reads the order at once, which refuses edges that do not
+    connect every vertex; the builders' trees (``_spanning``) read it lazily."""
 
     n: int
     edge_u: np.ndarray
@@ -73,8 +73,7 @@ class SpanningTree:
 
     def __post_init__(self):
         self._check()
-        if len(_knn_forest(self.n, self.edge_u, self.edge_v)[0]) < self.n - 1:
-            raise ValueError("edges do not form a connected tree")
+        self._leaves  # refuses edges that do not connect every vertex
 
     def _check(self):
         edge_u = np.asarray(self.edge_u, dtype=np.int64)
@@ -391,7 +390,7 @@ def _outward(gap, table, start):
     return out[:len(gap) - start]
 
 
-def _knn_forest(n: int, cand_u, cand_v, cand_w=None, bound=None):
+def _knn_forest(n: int, cand_u, cand_v, cand_w, bound):
     """Kruskal's forest over candidate edges already in Kruskal order, by
     Borůvka's rounds: returns the picked candidates' positions, ascending, and
     each vertex's component label, the component's smallest id.
@@ -402,10 +401,10 @@ def _knn_forest(n: int, cand_u, cand_v, cand_w=None, bound=None):
     picks form trees whose only cycles are mutual picks, broken at the smaller
     component, and pointer jumping finds each tree's root.
 
-    With weights ``cand_w`` and each vertex's ``bound``, under which its
-    candidates hold all its edges, a component's pick counts only when it is
-    strictly lighter than the bound of each member whose own lightest
-    outgoing candidate is not; the rounds end when no pick counts.
+    With each vertex's ``bound``, under which its candidates hold all its
+    edges, a component's pick counts only when its weight in ``cand_w`` is
+    below the bound of each member whose own lightest outgoing candidate is
+    not; the rounds end when no pick counts. Infinite bounds count every pick.
     """
     m = len(cand_u)
     comp = np.arange(n)
@@ -422,13 +421,12 @@ def _knn_forest(n: int, cand_u, cand_v, cand_w=None, bound=None):
         lightest = np.full(n, m)
         np.minimum.at(lightest, comp, own)
         roots = np.flatnonzero(lightest < m)
-        if bound is not None:
-            unsure = np.append(cand_w, np.inf)[own] >= bound
-            limit = np.full(n, np.inf)
-            np.minimum.at(limit, comp[unsure], bound[unsure])
-            roots = roots[cand_w[lightest[roots]] < limit[roots]]
-            if not roots.size:
-                break
+        unsure = np.append(cand_w, np.inf)[own] >= bound
+        limit = np.full(n, np.inf)
+        np.minimum.at(limit, comp[unsure], bound[unsure])
+        roots = roots[cand_w[lightest[roots]] < limit[roots]]
+        if not roots.size:
+            break
         edge = lightest[roots]
         picked[edge] = True
         ends_a, ends_b = comp[cand_u[edge]], comp[cand_v[edge]]
@@ -644,8 +642,8 @@ def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:
 
     The edge set and its row order are unchanged, and the k-distances are
     multiplied first, so an edge's weight does not depend on which end is u.
-    Where that product overflows, the edge takes cbrt(weight) * (c(u) * c(v))
-    with c = cbrt(kdist). k-distances are floored at a tiny fraction of the
+    Where that product is not finite (it overflows, or is 0 * inf), the edge
+    takes cbrt(weight) * (c(u) * c(v)) with c = cbrt(kdist). k-distances are floored at a tiny fraction of the
     largest raw edge weight so duplicate points keep distinct-point edges
     positive.
     """
@@ -657,9 +655,9 @@ def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:
     floor = KDIST_FLOOR_REL * float(tree.edge_w.max()) if tree.n > 1 else 0.0
     kdist = np.maximum(kdist, floor)
     u, v, w = tree.edge_u, tree.edge_v, tree.edge_w
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         new_w = np.cbrt(w * (kdist[u] * kdist[v]))
-    big = np.isinf(new_w)
+    big = ~np.isfinite(new_w)
     if big.any():
         c = np.cbrt(kdist)
         new_w[big] = np.cbrt(w[big]) * (c[u[big]] * c[v[big]])

@@ -136,6 +136,7 @@ def read_profile(dists, k: int) -> DensityProfile:
 
     Self is at distance 0, no other distance is smaller, so column k holds the
     k-th smallest off-self distance. Columns 1..k are summed in order, so
-    lists of any width give the same bits.
+    lists of any width give the same bits; a sum that overflows reads inf.
     """
-    return DensityProfile(np.ascontiguousarray(dists[:, k]), k, dists[:, 1:k + 1].sum(axis=1))
+    with np.errstate(over="ignore"):
+        return DensityProfile(np.ascontiguousarray(dists[:, k]), k, dists[:, 1:k + 1].sum(axis=1))

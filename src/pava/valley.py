@@ -123,7 +123,8 @@ def build_histogram(runs: tuple, bins: int = DEFAULT_BINS) -> DistanceHistogram:
         total += run.size
     below[-1] = total
     raw = below[1:] - below[:-1]
-    centers = (edges[:-1] + edges[1:]) / 2.0
+    half = edges * 0.5  # exact, so no sum of two edges overflows
+    centers = half[:-1] + half[1:]
     return DistanceHistogram(edges, centers, raw, raw - 1)
 
 

@@ -158,18 +158,33 @@ class TestCluster:
         assert "turbo" in capsys.readouterr().err
 
     def test_matrix_of_huge_entries_exit_0(self, tmp_path):
-        # w * kd_u * kd_v passes the largest double here; the adjusted
-        # weights must stay finite without a numpy overflow warning.
-        path = tmp_path / "huge.csv"
-        path.write_text("0,1e300,2e300\n1e300,0,1.5e300\n2e300,1.5e300,0\n")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert main(["cluster", "--matrix", str(path),
-                         "--labels-out", str(tmp_path / "p.csv"),
-                         "--report-out", str(tmp_path / "r.json"),
-                         "--emit-mst", str(tmp_path / "t")]) == 0
-        adjusted = np.loadtxt(tmp_path / "t.mst_adjusted.csv", delimiter=",", skiprows=1)
-        assert np.all(np.isfinite(adjusted[:, 2]))
+        # w * kd_u * kd_v passes the largest double here, or is 0 * inf (the
+        # second matrix), and sums of two entries overflow (the last); the
+        # adjusted weights and the bin centres must stay finite without a
+        # numpy warning. Each run is one round, which reads a histogram
+        # unless the trim leaves only equal distances (the second matrix).
+        huge = "0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n"
+        cases = [("0,1e300,2e300\n1e300,0,1.5e300\n2e300,1.5e300,0\n", [], 1),
+                 ("0,0,1e300\n0,0,1e300\n1e300,1e300,0\n", ["--k", "1"], 0),
+                 (huge, ["--k", "1"], 1), (huge, ["--k", "2"], 1)]
+        for i, (text, k, histograms) in enumerate(cases):
+            out = tmp_path / str(i)
+            out.mkdir()
+            (out / "huge.csv").write_text(text)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["cluster", "--matrix", str(out / "huge.csv"), *k,
+                             "--labels-out", str(out / "p.csv"),
+                             "--report-out", str(out / "r.json"),
+                             "--emit-mst", str(out / "t"),
+                             "--emit-histogram", str(out / "h")]) == 0
+            adjusted = np.loadtxt(out / "t.mst_adjusted.csv", delimiter=",", skiprows=1)
+            assert np.all(np.isfinite(adjusted[:, 2]))
+            assert json.loads((out / "r.json").read_text())["m"] == 1
+            rounds = list(out.glob("h.round*.csv"))
+            assert len(rounds) == histograms
+            for round_csv in rounds:
+                assert np.all(np.isfinite(np.loadtxt(round_csv, delimiter=",", skiprows=1)))
 
     def test_k_too_large_exit_2(self, moons_files, capsys):
         pf, _ = moons_files

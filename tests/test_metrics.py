@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pava.metrics import (
-    ContingencyTable,
+    _pair_counts,
     adjusted_rand_index,
     pairwise_f_score,
     rand_index,
@@ -13,6 +13,7 @@ from pava.metrics import (
 from oracles import (
     adjusted_rand_index_bruteforce,
     f_score_bruteforce,
+    pair_confusion_bruteforce,
     rand_index_bruteforce,
 )
 
@@ -113,17 +114,19 @@ class TestRelabelInvariance:
             assert adjusted_rand_index(a, b) <= 1.0
 
 
-class TestContingencyTable:
-    def test_counts_and_marginals(self):
-        t = ContingencyTable.from_partitions([1, 1, 2, 2], [1, 2, 1, 2])
-        assert t.counts.tolist() == [[1, 1], [1, 1]]
-        assert t.row_marginals.tolist() == [2, 2]
-        assert t.col_marginals.tolist() == [2, 2]
-        assert t.n == 4
-
-    def test_counts_sum_to_n(self):
+class TestPairCounts:
+    def test_matches_pair_loop(self):
         rng = np.random.default_rng(83)
-        a = rng.integers(1, 7, 200)
-        b = rng.integers(1, 4, 200)
-        t = ContingencyTable.from_partitions(a, b)
-        assert t.counts.sum() == 200
+        cases = [(np.zeros(n, int), rng.integers(1, 4, n)) for n in (1, 2, 7)]
+        cases += [(np.arange(n), rng.integers(1, 4, n)) for n in (1, 2, 7)]
+        cases += [(np.ones(9, int), np.arange(9)), (np.arange(9), np.ones(9, int))]
+        for _ in range(60):
+            n = int(rng.integers(1, 121))
+            a = rng.integers(1, int(rng.integers(1, 9)) + 1, size=n)
+            b = rng.integers(1, int(rng.integers(1, 9)) + 1, size=n)
+            cases.append((a, b))
+        for a, b in cases:
+            got = _pair_counts(a, b)
+            assert got == pair_confusion_bruteforce(a, b)
+            n = len(a)
+            assert sum(got) == n * (n - 1) // 2

@@ -437,7 +437,8 @@ class TestBuildMst:
             order = np.lexsort((pairs[:, 1], pairs[:, 0], w))
             lists.append((n, (pairs[order, 0], pairs[order, 1], w[order])))
         for n, (cand_u, cand_v, cand_w) in lists:
-            picked, comp = mstgraph._knn_forest(n, cand_u, cand_v)
+            # An infinite bound certifies every pick.
+            picked, comp = mstgraph._knn_forest(n, cand_u, cand_v, cand_w, np.full(n, np.inf))
             ref_u, ref_v, ref_w, ref_comp = kruskal_forest_reference(n, cand_u, cand_v, cand_w)
             assert np.array_equal(cand_u[picked], ref_u)
             assert np.array_equal(cand_v[picked], ref_v)
@@ -583,13 +584,19 @@ class TestAdjustWeights:
         assert tree.edge_w.tobytes() == flipped.edge_w.tobytes()
 
     def test_overflowing_product_stays_finite(self):
+        from pava.neighbors import k_distance_all
         tree = SpanningTree(3, [0, 1], [1, 2], [1e300, 1.5e300])
         kdist = _density(np.array([2e300, 1.5e300, 2e300]), 2)
-        with np.errstate(all="raise"):
-            adj = adjust_weights(tree, kdist)
         want = [np.cbrt(1e300) * np.cbrt(2e300) * np.cbrt(1.5e300),
                 np.cbrt(1.5e300) * np.cbrt(1.5e300) * np.cbrt(2e300)]
-        assert adj.edge_w == pytest.approx(want, rel=1e-12)
+        # The zero edge times its ends' k-distances, floored at 1e288, is
+        # 0 * inf: NaN, not an overflow.
+        m = DissimilarityMatrix([[0, 0, 1e300], [0, 0, 1e300], [1e300, 1e300, 0]])
+        zero = [0.0, np.cbrt(1e300) * np.cbrt(1e288) * np.cbrt(1e300)]
+        for tree, kdist, want in (tree, kdist, want), (build_mst(m), k_distance_all(m, 1), zero):
+            with np.errstate(all="raise"):
+                adj = adjust_weights(tree, kdist)
+            assert adj.edge_w == pytest.approx(want, rel=1e-12)
 
     def test_preserves_edge_set(self):
         tree = build_mst(_points_1d([0, 1, 3, 7]))
@@ -599,8 +606,8 @@ class TestAdjustWeights:
 
     def test_reuses_the_raw_tree_edges(self, monkeypatch):
         # The adjusted tree shares the raw tree's edge arrays, which the raw
-        # tree's builder made spanning, so neither adjusting nor reading the
-        # order runs the connectivity pass again.
+        # tree's builder made spanning; neither adjusting nor reading the
+        # order runs a forest pass (the order's own loop refuses a cycle).
         p = PointSet(np.random.default_rng(7).normal(size=(300, 2)))
         raw = build_mst(p)
         calls = []
@@ -918,9 +925,11 @@ class TestDistances:
 
 class TestSpanningTreeInvariants:
     def test_rejects_disconnected_edges(self):
-        # right edge count, but a doubled edge leaves {2, 3} in its own component
-        with pytest.raises(ValueError, match="connected"):
-            SpanningTree(4, [0, 1, 2], [1, 0, 3], [1.0, 1.0, 1.0])
+        # The right edge count, but a doubled edge, a triangle beside a lone
+        # vertex or a self-loop leaves a vertex apart: refused at construction.
+        for u, v in ([0, 1, 2], [1, 0, 3]), ([0, 1, 0], [1, 2, 2]), ([0, 1, 2], [1, 1, 3]):
+            with pytest.raises(ValueError, match="connected"):
+                SpanningTree(4, u, v, [1.0, 1.0, 1.0])
 
     def test_rejects_vertex_ids_out_of_range(self):
         with pytest.raises(ValueError, match="vertex id -1 out of range"):
@@ -950,11 +959,11 @@ class TestCertifiedForest:
         forests = []
         knn_forest = mstgraph._knn_forest
 
-        def spy(n, cand_u, cand_v, cand_w=None, bound=None):
+        def spy(n, cand_u, cand_v, cand_w, bound):
             picked, comp = knn_forest(n, cand_u, cand_v, cand_w, bound)
             # The first call certifies the forest over the sites; later ones
             # join its components and name blocks of them, not sites.
-            if bound is not None and not forests:
+            if not forests:
                 forests.append((cand_u[picked], cand_v[picked]))
             return picked, comp
 
