@@ -145,9 +145,9 @@ def key_order(*keys):
     of the key, and sorts them by (run, rank), a key with no ties, so the
     result does not depend on which unstable sort ran. Rows already in key
     order stay. ``np.lexsort`` sorts all rows where over half of a 1-in-16
-    sample of the last key repeats a value, as on lattices or constant keys,
-    and where a key holds NaN, which an unstable sort puts last without
-    breaking its ties.
+    sample of the last key repeats a value, as on lattices or constant keys.
+    Keys hold no NaN: coordinates, tree weights and k-distances are finite,
+    and a k-sum may overflow to inf but is never NaN.
     """
     last = keys[-1]
     n = len(last)
@@ -166,8 +166,6 @@ def key_order(*keys):
     order = np.argsort(last)
     at = np.arange(n)  # the positions of the rows still tied
     runs = last[order]  # the sorted values that tie them
-    if runs[-1] != runs[-1]:
-        return np.lexsort(keys)
     for key in keys[-2::-1] + (None,):
         same = runs[1:] == runs[:-1]
         after = np.append(False, same)  # equal to the row before
@@ -183,8 +181,6 @@ def key_order(*keys):
             values = key[rows]
             by = np.argsort(values)
             values = values[by]
-            if values[-1] != values[-1]:
-                return np.lexsort(keys)
             rank = np.empty(len(rows), dtype=np.int64)
             rank[by] = np.cumsum(np.append(False, values[1:] != values[:-1]))
         runs = run * n + rank  # rank and id are below n
@@ -240,8 +236,9 @@ def _certified_tree(x, names, knn):
     """Canonical tree of the distinct points ``x[names]``, ``names``
     ascending, as its edges' ends (a, b) in names.
 
-    Every listed neighbour pair is a candidate edge. By the cut property the
-    lightest edge leaving a component, under the order (w, min, max), is in
+    Every listed id but the row's own is a candidate edge, so the order
+    (w, min, max) alone picks among neighbours at distance 0. By the cut
+    property the lightest edge leaving a component, under that order, is in
     the tree. A point lists every point nearer than its last listed distance,
     so an edge it does not list weighs at least that much. A component's
     lightest crossing candidate is therefore certified when it is strictly
@@ -265,11 +262,12 @@ def _certified_tree(x, names, knn):
     elif knn[1].shape[0] != s:
         raise ValueError(f"expected neighbour lists for {s} points, got {knn[1].shape[0]}")
     dists, idx = knn
-    rows = np.repeat(np.arange(s), idx.shape[1] - 1)
-    cols = idx[:, 1:].ravel()
-    # Each listed pair once, ascending in (u, v); a mutual pair is listed twice.
+    rows = np.repeat(np.arange(s), idx.shape[1])
+    cols = idx.ravel()
+    # Each listed pair once, ascending in (u, v), and no row paired with itself;
+    # a mutual pair is listed twice.
     # A sort and an adjacent-difference mask: np.unique hashes before it sorts.
-    keys = np.minimum(rows, cols) * s + np.maximum(rows, cols)
+    keys = (np.minimum(rows, cols) * s + np.maximum(rows, cols))[rows != cols]
     keys.sort()
     u, v = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], s)
     w = _distances(sites, u, v)
@@ -643,9 +641,11 @@ def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:
     The edge set and its row order are unchanged, and the k-distances are
     multiplied first, so an edge's weight does not depend on which end is u.
     Where that product is not finite (it overflows, or is 0 * inf), the edge
-    takes cbrt(weight) * (c(u) * c(v)) with c = cbrt(kdist). k-distances are floored at a tiny fraction of the
-    largest raw edge weight so duplicate points keep distinct-point edges
-    positive.
+    takes cbrt(weight) * (c(u) * c(v)) with c = cbrt(kdist), capped at the
+    largest of weight, kdist(u) and kdist(v): a geometric mean never exceeds
+    its largest factor, and the uncapped value may round above the largest
+    double. k-distances are floored at a tiny fraction of the largest raw edge
+    weight so duplicate points keep distinct-point edges positive.
     """
     if tree.kind != "raw":
         raise ValueError("expected a raw tree")
@@ -657,10 +657,11 @@ def adjust_weights(tree: SpanningTree, density: DensityProfile) -> SpanningTree:
     u, v, w = tree.edge_u, tree.edge_v, tree.edge_w
     with np.errstate(over="ignore", invalid="ignore"):
         new_w = np.cbrt(w * (kdist[u] * kdist[v]))
-    big = ~np.isfinite(new_w)
-    if big.any():
-        c = np.cbrt(kdist)
-        new_w[big] = np.cbrt(w[big]) * (c[u[big]] * c[v[big]])
+    big = np.flatnonzero(~np.isfinite(new_w))
+    kd_u, kd_v, w_big = kdist[u[big]], kdist[v[big]], w[big]
+    with np.errstate(over="ignore"):
+        mean = np.cbrt(w_big) * (np.cbrt(kd_u) * np.cbrt(kd_v))
+    new_w[big] = np.minimum(mean, np.maximum(w_big, np.maximum(kd_u, kd_v)))
     return SpanningTree._spanning(tree.n, u, v, new_w, "adjusted")
 
 

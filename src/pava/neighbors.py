@@ -65,11 +65,9 @@ def nearest_lists(p: PointSet, count: int):
     """Each point's ``count`` nearest points, nearest first, as (dists, idx)
     arrays of shape (N, count); 2 <= count <= N.
 
-    Column 0 is the point itself at distance 0, so column k holds the
-    k-distance and no other column names the point. One kd-tree query may put
-    an exact duplicate (also at distance 0) in column 0; the point's own id
-    then moves there from its later column, or replaces the duplicate when it
-    is not in the row at all.
+    Column 0 holds distance 0: the point itself or another point at distance
+    0 from it, so column k holds the k-distance. A row lists its own id once,
+    unless every listed distance is 0; ties keep the kd-tree's order.
 
     Queried in the tree's leaf order, a row finds the nodes and points of the
     row before in cache; the lists are scattered back one at a time.
@@ -83,14 +81,6 @@ def nearest_lists(p: PointSet, count: int):
         raise ValueError("squared distances between the points overflow")
     dists[leaf] = dists.copy()
     idx[leaf] = idx.copy()
-    rows = np.flatnonzero(idx[:, 0] != np.arange(p.n))
-    if rows.size:
-        row_idx = idx[rows]
-        own = row_idx == rows[:, None]
-        moved = np.flatnonzero(own.any(axis=1))
-        row_idx[moved, own[moved].argmax(axis=1)] = row_idx[moved, 0]
-        row_idx[:, 0] = rows
-        idx[rows] = row_idx
     return dists, idx
 
 
@@ -132,7 +122,7 @@ def k_distance_all(src, k: int, k_graph: int | None = None):
 
 def read_profile(dists, k: int) -> DensityProfile:
     """The k-distances and k-sums of ascending distance lists whose column 0
-    is each object itself, of at least k + 1 columns.
+    holds 0, of at least k + 1 columns.
 
     Self is at distance 0, no other distance is smaller, so column k holds the
     k-th smallest off-self distance. Columns 1..k are summed in order, so

@@ -159,14 +159,17 @@ class TestCluster:
 
     def test_matrix_of_huge_entries_exit_0(self, tmp_path):
         # w * kd_u * kd_v passes the largest double here, or is 0 * inf (the
-        # second matrix), and sums of two entries overflow (the last); the
+        # second matrix), and at k = 2 sums of two entries overflow; at the
+        # largest double (the last two) the fallback itself rounds above it. The
         # adjusted weights and the bin centres must stay finite without a
         # numpy warning. Each run is one round, which reads a histogram
         # unless the trim leaves only equal distances (the second matrix).
         huge = "0,1e308,1e308\n1e308,0,1e308\n1e308,1e308,0\n"
+        top = huge.replace("1e308", "1.7976931348623157e308")
         cases = [("0,1e300,2e300\n1e300,0,1.5e300\n2e300,1.5e300,0\n", [], 1),
                  ("0,0,1e300\n0,0,1e300\n1e300,1e300,0\n", ["--k", "1"], 0),
-                 (huge, ["--k", "1"], 1), (huge, ["--k", "2"], 1)]
+                 (huge, ["--k", "1"], 1), (huge, ["--k", "2"], 1),
+                 (top, ["--k", "1"], 1), (top, ["--k", "2"], 1)]
         for i, (text, k, histograms) in enumerate(cases):
             out = tmp_path / str(i)
             out.mkdir()
@@ -184,7 +187,13 @@ class TestCluster:
             rounds = list(out.glob("h.round*.csv"))
             assert len(rounds) == histograms
             for round_csv in rounds:
-                assert np.all(np.isfinite(np.loadtxt(round_csv, delimiter=",", skiprows=1)))
+                table = np.loadtxt(round_csv, delimiter=",", skiprows=1)
+                if text == top:
+                    # No double lies above the largest one, so only an infinite
+                    # radius engulfs the distances that equal it.
+                    assert np.all(np.isfinite(table[:, :4])) and np.all(table[:, 4] == np.inf)
+                else:
+                    assert np.all(np.isfinite(table))
 
     def test_k_too_large_exit_2(self, moons_files, capsys):
         pf, _ = moons_files

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import pava.engine as engine_mod
+import pava.mstgraph as mstgraph_mod
 import pava.neighbors as neighbors_mod
 from pava.dataset import SHAPES, DissimilarityMatrix, PointSet, generate_synthetic
 from pava.engine import ClusterModel, PavaConfig, extract_cluster, run, select_center, sweep
@@ -492,6 +493,43 @@ class TestSweep:
             sweep(points, [PavaConfig(k=5), PavaConfig(k=60)])
         with pytest.raises(TypeError, match="unsupported source type"):
             sweep(points.coords, [PavaConfig()])
+
+
+class TestKeyOrderCallers:
+    def test_no_caller_passes_nan(self, monkeypatch):
+        # key_order holds no NaN test: coordinates, tree weights and
+        # k-distances are finite, and a k-sum may overflow to inf (the 1e308
+        # matrix at k = 2) but is never NaN.
+        rng = np.random.default_rng(71)
+        t = rng.normal(size=500)
+        near_line = PointSet(np.outer(t, [0.6, 0.8]) + rng.normal(0, 1e-6, (500, 2)))
+        sources = [
+            generate_synthetic("blobs", 300, seed=7)[0],
+            _blobs_3d(),
+            _lattice_with_copies(),
+            PointSet(rng.normal(size=(200, 1))),
+            near_line,
+            DissimilarityMatrix(euclidean_matrix(generate_synthetic("twomoons", 120, seed=4)[0].coords)),
+            DissimilarityMatrix(1e308 * (1 - np.eye(3))),
+        ]
+        float_keys, joins = [], []
+        key_order = engine_mod.key_order
+
+        def spy(*keys):
+            floats = [key for key in keys if key.dtype.kind == "f"]
+            assert not any(np.isnan(key).any() for key in floats)
+            float_keys.extend(floats)
+            return key_order(*keys)
+
+        monkeypatch.setattr(engine_mod, "key_order", spy)
+        monkeypatch.setattr(mstgraph_mod, "key_order", spy)
+        monkeypatch.setattr(mstgraph_mod, "_join_components", _counting(joins, mstgraph_mod._join_components))
+        for src in sources:
+            before = len(joins)
+            run(src, PavaConfig())
+            sweep(src, [PavaConfig(k=k) for k in (1, 2)])
+            assert src is not near_line or len(joins) > before  # it reaches the join
+        assert any(np.isinf(key).any() for key in float_keys)
 
 
 class TestPavaConfig:

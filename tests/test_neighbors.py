@@ -57,11 +57,14 @@ def _knn_inputs():
 
 def _check_lists(coords, count, dists, idx):
     """``nearest_lists``' (dists, idx) against the kd-tree query of every
-    column with default (median) splits in input row order."""
+    column with default (median) splits in input row order. Each row lists
+    its own id, unless every listed distance is 0 (a point with at least
+    ``count`` equal points), and no id twice."""
     n = len(coords)
     ref_d, ref_i = cKDTree(coords).query(coords, k=count)
     assert dists.tobytes() == ref_d.tobytes()
-    assert np.array_equal(idx[:, 0], np.arange(n))
+    own = np.any(idx == np.arange(n)[:, None], axis=1)
+    assert np.all(own | (dists[:, -1] == 0))
     all_d, all_i = cKDTree(coords).query(coords, k=n)
     for r in range(n):
         assert len(set(idx[r].tolist())) == count
