@@ -187,7 +187,7 @@ def _report_dict(source_path: Path, matrix: bool, src, cfg: PavaConfig,
         "rounds": [
             {
                 "center": r.center,
-                "radius": r.radius,
+                "radius": r.radius if np.isfinite(r.radius) else None,  # strict JSON
                 "claimed": r.claimed_count,
                 "duration_s": r.duration,
             }
@@ -240,9 +240,8 @@ def cmd_cluster(args) -> int:
     labels_out = Path(args.labels_out) if args.labels_out else _default_out(input_path, ".pred.csv")
     report_out = Path(args.report_out) if args.report_out else _default_out(input_path, ".report.json")
     save_labels_csv(labels_out, model.labels)
-    with open(report_out, "w") as fh:
-        json.dump(_report_dict(input_path, args.matrix, src, cfg, model, metrics), fh, indent=2)
-        fh.write("\n")
+    report = _report_dict(input_path, args.matrix, src, cfg, model, metrics)
+    report_out.write_text(json.dumps(report, indent=2, allow_nan=False) + "\n")
     _emit_artifacts(args, src, cfg, model)
     print(f"clustered {src.n} objects into {model.m} clusters "
           f"in {model.timings['total_s']:.3f}s -> {labels_out}")

@@ -24,8 +24,8 @@ def _pair_counts(a, b):
         raise ValueError(f"partition lengths differ: {a.shape} vs {b.shape}")
     _, ai = np.unique(a, return_inverse=True)
     _, bi = np.unique(b, return_inverse=True)
-    m1 = int(ai.max()) + 1
-    m2 = int(bi.max()) + 1
+    m1 = int(ai.max(initial=-1)) + 1  # 0 for no objects, which have no pairs
+    m2 = int(bi.max(initial=-1)) + 1
     counts = np.bincount(ai * m2 + bi, minlength=m1 * m2).reshape(m1, m2)
     total = _choose2(a.size)
     tp = _choose2(counts).sum()

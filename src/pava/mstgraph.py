@@ -201,8 +201,26 @@ def _distances(x, u, v):
         return np.sqrt(d.sum(axis=1))
 
 
+def _edge_set(x, a, b):
+    """The pairs (a[i], b[i]) with a[i] != b[i] between rows of ``x``, each
+    once, as rows u < v weighted by ``_distances``, in (w, u, v) order.
+
+    One integer key per pair, sorted with an adjacent-difference mask
+    (``np.unique`` hashes before it sorts), puts the pairs ascending in
+    (u, v); ``key_order`` of the weights then keeps that order among equal
+    weights."""
+    n = len(x)
+    keys = (np.minimum(a, b) * n + np.maximum(a, b))[a != b]
+    keys.sort()
+    u, v = np.divmod(keys[np.diff(keys, prepend=-1) != 0], n)
+    w = _distances(x, u, v)
+    by_key = key_order(w)
+    return u[by_key], v[by_key], w[by_key]
+
+
 def _kruskal_candidates(p: PointSet, knn) -> SpanningTree:
-    """Exact tree of a point set: duplicate edges plus the tree of its sites.
+    """Exact tree of a point set: duplicate edges plus the tree of its sites,
+    its rows given by ``_edge_set``.
 
     Equal points form one site, named by its smallest id, and every other
     point gets a zero-weight edge to its site's name. In 1-D consecutive
@@ -223,31 +241,28 @@ def _kruskal_candidates(p: PointSet, knn) -> SpanningTree:
         a, b = name[:-1], name[1:]
     else:
         a, b = _certified_tree(x, np.sort(name), knn)
-    u = np.concatenate([dup_u, np.minimum(a, b)])
-    v = np.concatenate([order[copies], np.maximum(a, b)])
-    w = _distances(x, u, v)
+    u, v, w = _edge_set(x, np.concatenate([dup_u, a]), np.concatenate([order[copies], b]))
     if np.isinf(w).any():
         raise ValueError("squared distances between the points overflow")
-    by_key = key_order(v, u, w)
-    return SpanningTree._spanning(p.n, u[by_key], v[by_key], w[by_key], "raw")
+    return SpanningTree._spanning(p.n, u, v, w, "raw")
 
 
 def _certified_tree(x, names, knn):
     """Canonical tree of the distinct points ``x[names]``, ``names``
     ascending, as its edges' ends (a, b) in names.
 
-    Every listed id but the row's own is a candidate edge, so the order
-    (w, min, max) alone picks among neighbours at distance 0. By the cut
-    property the lightest edge leaving a component, under that order, is in
-    the tree. A point lists every point nearer than its last listed distance,
-    so an edge it does not list weighs at least that much. A component's
-    lightest crossing candidate is therefore certified when it is strictly
-    lighter than that bound at each member whose own lightest crossing
-    candidate is not. ``_knn_forest`` takes certified picks in Borůvka rounds
-    (March, Ram & Gray 2010 certify the same way over a dual tree), and
-    ``_join_components`` joins the forest's components. On line-like sites a
-    component soon lists only its own members, so the join does most of the
-    work there.
+    Every listed id but the row's own is a candidate edge, and ``_edge_set``
+    gives the candidates, so the order (w, min, max) alone picks among
+    neighbours at distance 0. By the cut property the lightest edge leaving a
+    component, under that order, is in the tree. A point lists every point
+    nearer than its last listed distance, so an edge it does not list weighs
+    at least that much. A component's lightest crossing candidate is
+    therefore certified when it is strictly lighter than that bound at each
+    member whose own lightest crossing candidate is not. ``_knn_forest``
+    takes certified picks in Borůvka rounds (March, Ram & Gray 2010 certify
+    the same way over a dual tree), and ``_join_components`` joins the
+    forest's components. On line-like sites a component soon lists only its
+    own members, so the join does most of the work there.
 
     ``knn`` are ``nearest_lists``' (dists, idx) over every row of ``x``; they
     serve only when ``names`` holds every row. Otherwise, or without them,
@@ -262,17 +277,7 @@ def _certified_tree(x, names, knn):
     elif knn[1].shape[0] != s:
         raise ValueError(f"expected neighbour lists for {s} points, got {knn[1].shape[0]}")
     dists, idx = knn
-    rows = np.repeat(np.arange(s), idx.shape[1])
-    cols = idx.ravel()
-    # Each listed pair once, ascending in (u, v), and no row paired with itself;
-    # a mutual pair is listed twice.
-    # A sort and an adjacent-difference mask: np.unique hashes before it sorts.
-    keys = (np.minimum(rows, cols) * s + np.maximum(rows, cols))[rows != cols]
-    keys.sort()
-    u, v = np.divmod(keys[np.concatenate(([True], keys[1:] != keys[:-1]))], s)
-    w = _distances(sites, u, v)
-    by_key = key_order(w)  # (w, u, v) order, the pairs being ascending in (u, v)
-    u, v, w = u[by_key], v[by_key], w[by_key]
+    u, v, w = _edge_set(sites, np.repeat(np.arange(s), idx.shape[1]), idx.ravel())
     bound = dists[:, -1] * (1 - _SLACK)
     picked, comp = _knn_forest(s, u, v, w, bound)
     a, b = u[picked], v[picked]
@@ -463,13 +468,15 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
       block's bound. One ball query of a kd-tree over the boxes' centres
       finds them all.
     - Each such pair probes the vertex of its smaller component nearest the
-      other's box, which may lower the bound. It then queries its vertices
-      within the bound of that box whose candidates do not hold every edge
-      that light. Those about as near as the pair's least get every vertex
-      that near, and their keys decide.
-    - ``_knn_forest`` merges the blocks over the known edges, each block
-      certified up to its bound. Every block's lightest outgoing edge is
-      then certified, so the blocks at least halve each round.
+      other's box, and its nearest vertex there. That edge crosses both
+      blocks, so it may lower both bounds, as a lost block's probe may. The
+      pair then queries its vertices within the bound of that box whose
+      candidates do not hold every edge that light. Those about as near as
+      the pair's least get every vertex that near, and their keys decide.
+    - ``_edge_set`` rebuilds the known edges, the carried ones and the
+      round's new pairs, and ``_knn_forest`` merges the blocks over them,
+      each block certified up to its bound. Every block's lightest outgoing
+      edge is then certified, so the blocks at least halve each round.
 
     Each step sends all its query rows to one kd-tree over every vertex in
     one call; both kd-trees are built with sliding-midpoint splits, as in
@@ -503,10 +510,12 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
         d, b = sites.query(slab(a, t))
         return np.ldexp(d, scale), b
 
-    def facing(s, t):
-        """The vertices of each component s[i], one segment per pair, each
-        with its distance to the box of t[i], and each segment's first vertex
-        nearest that box: (ids, owner, seg, box, probe)."""
+    def probe(s, t):
+        """Probe each pair of components (s[i], t[i]): the first vertex of
+        s[i] nearest t[i]'s box, and its nearest vertex of t[i]. That edge
+        becomes known and lowers both blocks' bounds. Returns the vertices of
+        each s[i], one segment per pair, their distances to t[i]'s box, the
+        probes' rows, and the probes' distances there, inf elsewhere."""
         lengths = sizes[s]
         seg = np.cumsum(lengths) - lengths
         owner = np.repeat(np.arange(len(s)), lengths)
@@ -516,7 +525,16 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
             gap = np.clip(xq, lo[t][owner], hi[t][owner]) - xq
             box = np.sqrt((gap * gap).sum(axis=1))
         hits = np.flatnonzero(box == np.minimum.reduceat(box, seg)[owner])
-        return ids, owner, seg, box, hits[np.searchsorted(hits, seg)]
+        at = hits[np.searchsorted(hits, seg)]
+        a = ids[at]
+        d = np.full(len(ids), np.inf)
+        d[at], b = nearest(a, t)
+        known_a.append(a)
+        known_b.append(b)
+        w = _distances(x, a, b)
+        np.minimum.at(light, group[s], w)
+        np.minimum.at(light, group[t], w)
+        return ids, owner, seg, box, at, d
 
     # Box T lies within gap r of box S only if their centres lie within
     # half[S] + half[T] + r, half being half the box's diagonal.
@@ -525,22 +543,21 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
     boxes = cKDTree(scaled, balanced_tree=False)
     # Each component's 16 nearest other components by their centres.
     near = boxes.query(scaled, k=min(count, 17))[1]
-    cross = which[cand_u] != which[cand_v]
-    eu, ev, ew = cand_u[cross], cand_v[cross], cand_w[cross]
+    eu, ev, ew = cand_u, cand_v, cand_w
     group = np.arange(count)  # each component's block, named by its first component
     slack = 1 + _SLACK
     out_u, out_v = [], []
     while True:
         keep = group[which[eu]] != group[which[ev]]
         eu, ev, ew = eu[keep], ev[keep], ew[keep]
-        names = np.unique(group)
+        names, blk = np.unique(group, return_inverse=True)
         if len(names) == 1:
             break
         # Each block's lightest known outgoing edge, at the block's name.
         light = np.full(count, np.inf)
         np.minimum.at(light, group[which[eu]], ew)
         np.minimum.at(light, group[which[ev]], ew)
-        new_a, new_b, new_w = [], [], []
+        known_a, known_b = [eu], [ev]
         lost = np.flatnonzero(np.isinf(light[group]))
         if lost.size:
             # A block without one probes a pair with the first outside component
@@ -557,14 +574,7 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
                     gap = (gap.clip(0) ** 2).sum(axis=2)
                 gap[group[None] == blind[:, None]] = np.inf
                 s, t = np.append(s, blind), np.append(t, gap.argmin(axis=1))
-            ids, owner, seg, box, probe = facing(s, t)
-            a = ids[probe]
-            b = nearest(a, t)[1]
-            w = _distances(x, a, b)
-            new_a.append(a)
-            new_b.append(b)
-            new_w.append(w)
-            np.minimum.at(light, group[s], w)
+            probe(s, t)
         # Each component takes the components whose box lies within its
         # block's bound (its level). With span = half + level, a pair's
         # centres lie within span + min(span, largest half) of one end: the
@@ -584,47 +594,25 @@ def _join_components(x, comp, cand_u, cand_v, cand_w, bound):
         # Each pair once, queried from its smaller component.
         small = (sizes[s] < sizes[t]) | ((sizes[s] == sizes[t]) & (s < t))
         s, t = np.divmod(np.unique(np.where(small, s, t) * count + np.where(small, t, s)), count)
-        # Each pair's probe is a known edge that may lower both blocks' bounds.
-        ids, owner, seg, box, probe = facing(s, t)
-        d = np.full(len(ids), np.inf)
-        a = ids[probe]
-        d[probe], b = nearest(a, t)
-        w = _distances(x, a, b)
-        new_a.append(a)
-        new_b.append(b)
-        new_w.append(w)
-        np.minimum.at(light, group[s], w)
-        np.minimum.at(light, group[t], w)
+        ids, owner, seg, box, at, d = probe(s, t)
         # Then each pair queries its vertices within its bound of the other
         # box, unless their candidates hold every edge that light, and those
         # about as near as the pair's least get every vertex that near.
         level = light[group] * slack
         need = np.maximum(level[s], level[t])
-        lim = (np.minimum(need, d[probe]) * slack)[owner]
+        lim = (np.minimum(need, d[at]) * slack)[owner]
         more = (box <= lim) & (bound[ids] <= lim)
-        more[probe] = False
+        more[at] = False
         d[more] = nearest(ids[more], t[owner[more]])[0]
         least = np.minimum.reduceat(d, seg)
         close = np.flatnonzero((least <= need * slack)[owner] & (d <= (least * slack)[owner]))
         hits = sites.query_ball_point(slab(ids[close], t[owner[close]]),
                                       np.ldexp(least * slack, -scale)[owner[close]])
         lengths = np.fromiter(map(len, hits), np.int64, len(hits))
-        a = np.repeat(ids[close], lengths)
-        b = np.fromiter(itertools.chain.from_iterable(hits), np.int64, lengths.sum())
-        new_a.append(a)
-        new_b.append(b)
-        new_w.append(_distances(x, a, b))
-        # The known edges, each once, in (w, u, v) order.
-        a, b = np.concatenate(new_a), np.concatenate(new_b)
-        u = np.concatenate([eu, np.minimum(a, b)])
-        v = np.concatenate([ev, np.maximum(a, b)])
-        w = np.concatenate([ew] + new_w)
-        by_key = key_order(v, u, w)
-        u, v, w = u[by_key], v[by_key], w[by_key]
-        fresh = np.append(True, (u[1:] != u[:-1]) | (v[1:] != v[:-1]))
-        eu, ev, ew = u[fresh], v[fresh], w[fresh]
+        known_a.append(np.repeat(ids[close], lengths))
+        known_b.append(np.fromiter(itertools.chain.from_iterable(hits), np.int64, lengths.sum()))
+        eu, ev, ew = _edge_set(x, np.concatenate(known_a), np.concatenate(known_b))
         # Each block's known edges hold every outgoing one up to its level.
-        blk = np.searchsorted(names, group)
         limit = np.nextafter(level[names], np.inf)
         picked, merged = _knn_forest(len(names), blk[which[eu]], blk[which[ev]], ew, limit)
         if not picked.size:  # every block's lightest outgoing edge weighs inf

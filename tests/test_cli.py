@@ -39,6 +39,11 @@ def moons_files(tmp_path):
     return pf, lf
 
 
+def _refuse_constant(name):
+    """``json.loads``' hook for NaN, Infinity and -Infinity, which strict JSON lacks."""
+    raise ValueError(f"non-finite constant {name} in strict JSON")
+
+
 def _assert_emitted_histograms(prefix, model, scratch):
     """Each ``{prefix}.round{i}.csv`` holds round i's histogram and radius,
     written again through numpy to ``scratch``; a round without a histogram
@@ -183,7 +188,10 @@ class TestCluster:
                              "--emit-histogram", str(out / "h")]) == 0
             adjusted = np.loadtxt(out / "t.mst_adjusted.csv", delimiter=",", skiprows=1)
             assert np.all(np.isfinite(adjusted[:, 2]))
-            assert json.loads((out / "r.json").read_text())["m"] == 1
+            report = json.loads((out / "r.json").read_text(), parse_constant=_refuse_constant)
+            assert report["m"] == 1
+            # Strict JSON has no Infinity: only the largest double's radius is null.
+            assert (report["rounds"][0]["radius"] is None) == (text == top)
             rounds = list(out.glob("h.round*.csv"))
             assert len(rounds) == histograms
             for round_csv in rounds:

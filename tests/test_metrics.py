@@ -117,7 +117,7 @@ class TestRelabelInvariance:
 class TestPairCounts:
     def test_matches_pair_loop(self):
         rng = np.random.default_rng(83)
-        cases = [(np.zeros(n, int), rng.integers(1, 4, n)) for n in (1, 2, 7)]
+        cases = [(np.zeros(n, int), rng.integers(1, 4, n)) for n in (0, 1, 2, 7)]
         cases += [(np.arange(n), rng.integers(1, 4, n)) for n in (1, 2, 7)]
         cases += [(np.ones(9, int), np.arange(9)), (np.arange(9), np.ones(9, int))]
         for _ in range(60):
@@ -130,3 +130,5 @@ class TestPairCounts:
             assert got == pair_confusion_bruteforce(a, b)
             n = len(a)
             assert sum(got) == n * (n - 1) // 2
+            if n < 2:  # no pairs: the partitions cannot disagree
+                assert rand_index(a, b) == adjusted_rand_index(a, b) == pairwise_f_score(a, b) == 1.0

@@ -928,6 +928,39 @@ class TestDistances:
             assert not got.any()  # even distinct points: their squares underflow
 
 
+class TestEdgeSet:
+    """``_edge_set`` gives each drawn pair with two distinct ends once, as a
+    row u < v weighted by the plain formula, in ``np.lexsort((v, u, w))``
+    order, bit for bit: the order every point-set tree edge list is built in."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("points", ["continuous", "lattice", "repeated"])
+    def test_distinct_pairs_in_key_order(self, dim, points):
+        rng = np.random.default_rng(10 * dim + len(points))
+        for n in [1, *rng.integers(2, 60, 19).tolist()]:
+            if points == "continuous":
+                x = rng.normal(size=(n, dim))
+            else:  # many tied distances
+                x = rng.integers(-2, 3, (n, dim)).astype(float)
+                if points == "repeated":
+                    x = x[rng.integers(0, n, n)]
+            a, b = rng.integers(0, n, (2, int(rng.integers(0, 3 * n + 1))))
+            a[::7] = b[::7]  # self-pairs
+            half = len(a) // 2
+            a, b = np.append(a, b[:half]), np.append(b, a[:half])  # both orientations
+            a, b = np.append(a, a[::3]), np.append(b, b[::3])  # repeated pairs
+            mixed = rng.permutation(len(a))
+            a, b = a[mixed], b[mixed]
+            pairs = {(min(i, j), max(i, j)) for i, j in zip(a.tolist(), b.tolist()) if i != j}
+            u, v = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
+            w = _distances_reference(x, u, v)
+            by_key = np.lexsort((v, u, w))
+            got = mstgraph._edge_set(x, a, b)
+            for have, want in zip(got, (u[by_key], v[by_key], w[by_key])):
+                assert have.dtype == want.dtype
+                assert have.tobytes() == want.tobytes()
+
+
 class TestSpanningTreeInvariants:
     def test_rejects_disconnected_edges(self):
         # The right edge count, but a doubled edge, a triangle beside a lone
